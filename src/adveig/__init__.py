@@ -19,7 +19,7 @@ from .predictor import (LimitPrediction, LimitTerm, frak_L, periodic_prediction,
 from .profile import (AdvectionProfile, PeriodicBC, Potential, ProfileSpec,
                       RobinBC, TEMPLATES, build_profile, builtin,
                       load_profile_json, profile_from_dict)
-from .spectral import EigenPair, SymTridiag, smallest_eig, sturm_count
+from .spectral import EigenPair, SymTridiag, smallest_eig
 
 __version__ = "0.1.0"
 
@@ -36,5 +36,5 @@ __all__ = [
     "load_profile_json", "mass_distribution", "periodic_prediction",
     "predict_limit", "predict_limit_periodic", "principal_eigen",
     "profile_distance", "profile_from_dict", "rescaled_profile",
-    "segment_restriction_distance", "smallest_eig", "sturm_count", "sweep",
+    "segment_restriction_distance", "smallest_eig", "sweep",
 ]

@@ -25,9 +25,9 @@ import numpy as np
 from .assembly import (DiscreteOperator, _build, assemble_periodic,
                        assemble_transformed, eigenfunction_on_grid,
                        principal_eigen)
-from .errors import (InsufficientData, IntervalOutOfDomain, KStarUndefined,
-                     MassTooSmall, NoDecay, NonPositiveLambda, NoOverlap,
-                     ValidationError)
+from .errors import (AdveigError, InsufficientData, IntervalOutOfDomain,
+                     KStarUndefined, MassTooSmall, NoDecay, NonPositiveLambda,
+                     NoOverlap, NumericalError, ValidationError)
 from .profile import PeriodicBC
 
 
@@ -94,7 +94,8 @@ def _solve_one(profile, c, bc, s, n, mass_intervals):
                    zip(mass_intervals, mass_distribution(x, w, mass_intervals)))
     if mass_intervals:
         total = mass_distribution(x, w, [(x[0], x[-1])])[0]
-        assert abs(total - 1.0) <= 1e-6, f"total mass {total} drifted from 1"
+        if not abs(total - 1.0) <= 1e-6:
+            raise NumericalError(f"total mass {total} drifted from 1")
     return SweepRecord(s=float(s), n=n, lam=pair.lam, mass=masses,
                        wall_time=time.perf_counter() - t0, grid=(x, w))
 
@@ -103,9 +104,10 @@ def sweep(profile, c, bc, s_ladder, grid_policy: GridPolicy | None = None,
           mass_intervals=(), map_fn=map):
     """One SweepRecord per ladder entry, in ladder order.
 
-    Failures are recorded per entry (error marker) instead of aborting
-    the whole ladder.  map_fn lets a caller run entries concurrently;
-    results are merged in ladder order regardless.
+    Library failures (AdveigError) are recorded per entry (error marker)
+    instead of aborting the whole ladder; programming errors propagate.
+    map_fn lets a caller run entries concurrently; results are merged in
+    ladder order regardless.
     """
     if len(s_ladder) == 0:
         raise InsufficientData("empty s ladder")
@@ -117,7 +119,7 @@ def sweep(profile, c, bc, s_ladder, grid_policy: GridPolicy | None = None,
         n = policy.n_for(profile, s)
         try:
             return _solve_one(profile, c, bc, s, n, mass_intervals)
-        except Exception as exc:   # keep partial ladder progress
+        except AdveigError as exc:   # keep partial ladder progress
             return SweepRecord(s=float(s), n=n, lam=None,
                                error=f"{type(exc).__name__}: {exc}")
 

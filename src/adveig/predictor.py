@@ -106,9 +106,19 @@ def _collect_terms(decomp, c, bc, grid_n):
 
 
 def _argmin_set(terms):
-    best = min(t.value for t in terms)
-    tol = max(1e-9, 4.0 * max((t.error_estimate for t in terms), default=0.0))
-    return tuple(i for i, t in enumerate(terms) if t.value <= best + tol), best
+    """Indices of the terms tied with the minimum, and the minimum.
+
+    A term is tied when the gap to the minimizer is within 4x the larger
+    of the two error estimates involved (floor 1e-9); a wide estimate on
+    an unrelated term does not widen the tie for everyone else.
+    """
+    best = min(terms, key=lambda t: t.value)
+
+    def tied(t):
+        tol = max(1e-9, 4.0 * max(t.error_estimate, best.error_estimate))
+        return t.value <= best.value + tol
+
+    return tuple(i for i, t in enumerate(terms) if tied(t)), best.value
 
 
 def predict_limit(decomp: MaxSetDecomposition, c: Potential, bc: RobinBC,

@@ -1,12 +1,18 @@
 """Smallest-eigenpair solvers for symmetric (cyclic-)tridiagonal matrices.
 
+Every eigenvalue is certified with two LAPACK-speed facts (Parlett, The
+Symmetric Eigenvalue Problem): a banded Cholesky of T - sigma I succeeds
+exactly when sigma lies below the smallest eigenvalue (Sylvester
+inertia), and any Rayleigh quotient is at least the smallest eigenvalue.
+
 The non-cyclic path is LAPACK's bisection + inverse iteration
-(stebz/stein via scipy.linalg.eigh_tridiagonal); every solve is then
-cross-checked with the local Sturm counter so the returned value
-provably brackets the smallest eigenvalue within tol_lambda.  Cyclic
-matrices have no LAPACK route: there we run inverse iteration with a
-Sherman-Morrison rank-one-corrected tridiagonal factorization, seeded
-at the Gershgorin lower bound, with Rayleigh-quotient refinement.
+(stebz/stein via scipy.linalg.eigh_tridiagonal).  One inverse-iteration
+step by Cholesky of T - (lam - delta) I then certifies lam - delta from
+below, and its Rayleigh quotient, at most lam + delta, from above.
+Cyclic matrices have no LAPACK route: there the Cholesky test, extended
+to the corner coupling by a rank-one (Sherman-Morrison) term, drives a
+bisection over the Gershgorin window, followed by inverse iteration at
+the certified shift with Rayleigh-quotient refinement.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, solve_banded, solveh_banded
+from scipy.linalg import eigh_tridiagonal, solveh_banded
 
 from .errors import NoConvergence, NonFinite
 
@@ -59,17 +65,8 @@ class SymTridiag:
             out[-1] += self.corner * v[0]
         return out
 
-    def inf_norm(self):
-        a = np.abs(self.diag).copy()
-        if self.n > 1:
-            a[:-1] += np.abs(self.offdiag)
-            a[1:] += np.abs(self.offdiag)
-        if self.corner is not None and self.n > 1:
-            a[0] += abs(self.corner)
-            a[-1] += abs(self.corner)
-        return float(a.max())
-
-    def gershgorin(self):
+    def _radii(self):
+        """Row sums of the absolute offdiagonal entries."""
         r = np.zeros(self.n)
         if self.n > 1:
             r[:-1] += np.abs(self.offdiag)
@@ -77,6 +74,13 @@ class SymTridiag:
         if self.corner is not None and self.n > 1:
             r[0] += abs(self.corner)
             r[-1] += abs(self.corner)
+        return r
+
+    def inf_norm(self):
+        return float((np.abs(self.diag) + self._radii()).max())
+
+    def gershgorin(self):
+        r = self._radii()
         return float((self.diag - r).min()), float((self.diag + r).max())
 
     def dense(self):
@@ -96,30 +100,6 @@ class EigenPair:
     residual: float           # ||T v - lam v||_2 / ||T||_inf
 
 
-def sturm_count(T: SymTridiag, lam: float) -> int:
-    """Number of eigenvalues of a non-cyclic T strictly below lam.
-
-    Standard LDL^T sign recurrence; zero pivots are nudged by a tiny
-    offdiagonal-scaled amount, the usual underflow guard.
-    """
-    if T.corner is not None:
-        raise ValueError("Sturm counting applies to non-cyclic matrices")
-    d = T.diag
-    e = T.offdiag
-    eps = np.finfo(float).eps
-    count = 0
-    piv = d[0] - lam
-    if piv < 0:
-        count += 1
-    for i in range(1, T.n):
-        if piv == 0.0:
-            piv = eps * max(abs(e[i - 1]), eps)
-        piv = (d[i] - lam) - e[i - 1] * e[i - 1] / piv
-        if piv < 0:
-            count += 1
-    return count
-
-
 def _residual(T, lam, v):
     return float(np.linalg.norm(T.matvec(v) - lam * v) / max(T.inf_norm(), 1e-300))
 
@@ -129,183 +109,132 @@ def _fix_sign(v):
     return v if v[i] > 0 else -v
 
 
-def _solve_shifted(T, sigma, rhs):
-    """(T - sigma I)^{-1} rhs via banded LU (non-cyclic part only)."""
-    n = T.n
-    ab = np.zeros((3, n))
-    ab[1] = T.diag - sigma
-    if n > 1:
-        ab[0, 1:] = T.offdiag
-        ab[2, :-1] = T.offdiag
-    return solve_banded((1, 1), ab, rhs, check_finite=False)
+def _delta(T, tol_lambda):
+    """Certificate margin: tol_lambda, widened to the backward-error
+    scale eps*||T|| below which the Cholesky test of the rounded matrix
+    is not meaningful."""
+    return max(tol_lambda, 64 * np.finfo(float).eps * T.inf_norm())
 
 
-def _mmatrix_inverse_step(T, sigma, rhs):
-    """(T - sigma I)^{-1} rhs by banded Cholesky (no pivoting).
+def _cholesky_solve(diag, offdiag, sigma, rhs):
+    """(tridiag(offdiag, diag, offdiag) - sigma I)^{-1} rhs by banded
+    Cholesky (no pivoting), or None when that matrix is not positive
+    definite.  A result is the certificate that sigma lies below its
+    smallest eigenvalue.
 
-    For sigma strictly below the smallest eigenvalue of a T with
-    negative offdiagonals, T - sigma I is an M-matrix: the substitution
-    sweeps then involve no cancellation, so a nonnegative rhs yields a
-    strictly positive result even in floating point.
+    With negative offdiagonals the shifted matrix is then an M-matrix:
+    the substitution sweeps involve no cancellation, so a nonnegative
+    rhs yields a strictly positive result even in floating point.
     """
-    ab = np.zeros((2, T.n))
-    ab[0, 1:] = T.offdiag
-    ab[1] = T.diag - sigma
-    return solveh_banded(ab, rhs, check_finite=False)
+    ab = np.empty((2, diag.size))
+    ab[0, 0] = 0.0
+    ab[0, 1:] = offdiag
+    ab[1] = diag - sigma
+    try:
+        return solveh_banded(ab, rhs, overwrite_ab=True, check_finite=False)
+    except np.linalg.LinAlgError:
+        return None
 
 
-def _smallest_eig_lapack(T: SymTridiag, tol_lambda: float) -> EigenPair:
+def _rank_one_split(T):
+    """(d, beta, u) with cyclic C = B + beta u u^T: beta = -|corner| < 0,
+    u = e_1 - sign(corner) e_n, and B = tridiag(offdiag, d, offdiag) the
+    tridiagonal part with |corner| added to both corner diagonals."""
+    beta = -abs(T.corner)
+    u = np.zeros(T.n)
+    u[0] = 1.0
+    u[-1] = -math.copysign(1.0, T.corner)
+    d = T.diag.copy()
+    d[0] -= beta
+    d[-1] -= beta
+    return d, beta, u
+
+
+def _cyclic_definite_below(T, split, sigma):
+    """(B - sigma I)^{-1} u when C - sigma I is positive definite, else
+    None.  Since beta < 0, that holds iff the Cholesky of B - sigma I
+    succeeds and 1 + beta u^T (B - sigma I)^{-1} u > 0."""
+    d, beta, u = split
+    z = _cholesky_solve(d, T.offdiag, sigma, u)
+    return z if z is not None and 1.0 + beta * (u @ z) > 0.0 else None
+
+
+def _smallest_eig_lapack(T: SymTridiag, tol_lambda: float,
+                         max_iterations: int = 6) -> EigenPair:
     if T.n == 1:
         return EigenPair(float(T.diag[0]), np.array([1.0]), 0.0)
-    w, v = eigh_tridiagonal(T.diag, T.offdiag, select="i", select_range=(0, 0),
-                            tol=tol_lambda, check_finite=False)
+    try:
+        w, v = eigh_tridiagonal(T.diag, T.offdiag, select="i", select_range=(0, 0),
+                                tol=tol_lambda, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(1, f"LAPACK stebz/stein: {exc}") from exc
     lam = float(w[0])
     vec = _fix_sign(v[:, 0].copy())
     if not np.isfinite(lam) or not np.all(np.isfinite(vec)):
         raise NonFinite("eigensolve produced non-finite values")
-    # contract check: lam brackets the smallest eigenvalue within
-    # tol_lambda (widened to the backward-error scale eps*||T|| below
-    # which Sturm counts of the rounded matrix are not meaningful)
-    delta = max(tol_lambda, 64 * np.finfo(float).eps * T.inf_norm())
-    if sturm_count(T, lam - delta) != 0 or sturm_count(T, lam + delta) < 1:
-        raise NoConvergence(1, "Sturm bracket validation failed")
-    # one certified inverse-iteration step from just below the bracket:
-    # regenerates entries that inverse iteration inside LAPACK flushed
-    # to zero, and the Rayleigh quotient sharpens lam to machine level
+    # inverse iteration from just below lam: the first Cholesky is the
+    # lower certificate, and the steps regenerate entries that inverse
+    # iteration inside LAPACK flushed to zero
+    delta = _delta(T, tol_lambda)
+    sigma = lam - delta
     seed = np.maximum(vec, 0.0)
-    if not np.any(seed > 0):
-        seed = np.ones(T.n)
-    for widen in range(6):
-        sigma = lam - delta * 2.0 ** widen
-        try:
-            cand = _mmatrix_inverse_step(T, sigma, seed)
-        except np.linalg.LinAlgError:
-            continue
-        norm = np.linalg.norm(cand)
-        if np.all(np.isfinite(cand)) and norm > 0:
-            vec = cand / norm
+    vec = seed if np.any(seed > 0) else np.ones(T.n)
+    for _ in range(max_iterations):
+        vec = _cholesky_solve(T.diag, T.offdiag, sigma, vec)
+        if vec is None:
+            raise NoConvergence(1, "Cholesky of T - (lam - delta) I failed: "
+                                   "lam is above the smallest eigenvalue")
+        norm = np.linalg.norm(vec)
+        if not np.isfinite(norm) or norm == 0.0:
+            raise NonFinite("inverse iteration produced non-finite vector")
+        vec /= norm
+        rq = float(vec @ T.matvec(vec))
+        res = _residual(T, rq, vec)
+        if res <= RESIDUAL_TOL:
             break
-    lam = float(vec @ T.matvec(vec))
-    res = _residual(T, lam, vec)
-    if res > RESIDUAL_TOL:
-        for _ in range(5):
-            try:
-                vec = _solve_shifted(T, lam - delta, vec)
-            except np.linalg.LinAlgError:
-                break
-            vec /= np.linalg.norm(vec)
-            lam = float(vec @ T.matvec(vec))
-            res = _residual(T, lam, vec)
-            if res <= RESIDUAL_TOL:
-                break
-        vec = _fix_sign(vec)
-    if res > RESIDUAL_TOL:
-        raise NoConvergence(5, f"residual {res:.2e}")
-    return EigenPair(lam, vec, res)
-
-
-def _solve_cyclic_shifted(T, sigma, rhs, cache):
-    """Sherman-Morrison solve of (C - sigma I) x = rhs for cyclic C.
-
-    C = B + beta u u^T with u = e_1 + e_n and B the tridiagonal part
-    with beta subtracted from the two corner diagonal entries.
-    """
-    n = T.n
-    beta = T.corner
-    ab = cache.get("ab")
-    if ab is None or cache.get("sigma") != sigma:
-        d = T.diag.copy()
-        d[0] -= beta
-        d[-1] -= beta
-        ab = np.zeros((3, n))
-        ab[1] = d - sigma
-        ab[0, 1:] = T.offdiag
-        ab[2, :-1] = T.offdiag
-        u = np.zeros(n)
-        u[0] = u[-1] = 1.0
-        z = solve_banded((1, 1), ab, u, check_finite=False)
-        cache.update(ab=ab, sigma=sigma, z=z,
-                     denom=1.0 + beta * (z[0] + z[-1]))
-    y = solve_banded((1, 1), cache["ab"], rhs, check_finite=False)
-    z = cache["z"]
-    denom = cache["denom"]
-    if denom == 0.0 or not np.isfinite(denom):
-        raise np.linalg.LinAlgError("singular rank-one correction")
-    return y - z * (beta * (y[0] + y[-1]) / denom)
-
-
-def cyclic_inertia_below(T: SymTridiag, lam: float) -> int:
-    """Number of eigenvalues of a cyclic T strictly below lam.
-
-    Bordered LDL^T: rows are eliminated in order while the last column
-    (carrying the corner coupling) is kept as a dense border, so the
-    pivot signs of (T - lam I) come out in O(n); negative pivot count
-    equals the eigenvalue count by Sylvester's law.
-    """
-    if T.corner is None:
-        return sturm_count(T, lam)
-    n = T.n
-    d = T.diag
-    e = T.offdiag
-    beta = T.corner
-    eps = np.finfo(float).eps
-    guard = eps * max(T.inf_norm(), eps)
-    count = 0
-    piv = d[0] - lam
-    fill = beta                       # current A[i, n-1] after elimination
-    acc = 0.0                         # accumulated border Schur correction
-    for i in range(n - 2):
-        if piv == 0.0:
-            piv = guard
-        if piv < 0:
-            count += 1
-        acc += fill * fill / piv
-        ratio = e[i] / piv
-        nxt_fill = (e[n - 2] if i + 1 == n - 2 else 0.0) - ratio * fill
-        piv = (d[i + 1] - lam) - e[i] * ratio
-        fill = nxt_fill
-    if piv == 0.0:
-        piv = guard
-    if piv < 0:
-        count += 1
-    acc += fill * fill / piv
-    last = (d[n - 1] - lam) - acc
-    if last < 0:
-        count += 1
-    return count
+    else:
+        raise NoConvergence(max_iterations, f"residual {res:.2e}")
+    # upper certificate: the Rayleigh quotient bounds the smallest
+    # eigenvalue from above
+    if rq > lam + delta:
+        raise NoConvergence(1, f"Rayleigh quotient {rq!r} above lam + delta "
+                               f"= {lam + delta!r}")
+    return EigenPair(rq, _fix_sign(vec), res)
 
 
 def _smallest_eig_cyclic(T: SymTridiag, tol_lambda: float,
                          max_iterations: int = 60) -> EigenPair:
-    # bracket the smallest eigenvalue by bisection on the cyclic inertia
-    # count, starting from the Gershgorin window
+    # bracket the smallest eigenvalue by bisection on the Cholesky test,
+    # starting from the Gershgorin window
+    split = _rank_one_split(T)
     lo, hi = T.gershgorin()
-    width_floor = max(tol_lambda, 64 * np.finfo(float).eps * T.inf_norm())
-    while hi - lo > width_floor:
+    delta = _delta(T, tol_lambda)
+    while hi - lo > delta:
         mid = 0.5 * (lo + hi)
-        if cyclic_inertia_below(T, mid) >= 1:
+        if _cyclic_definite_below(T, split, mid) is None:
             hi = mid
         else:
             lo = mid
-    sigma = lo - width_floor          # certified just below the eigenvalue
+    sigma = lo - delta                # certified just below the eigenvalue
+    z = _cyclic_definite_below(T, split, sigma)
+    if z is None:
+        raise NoConvergence(1, "Cholesky test failed below the certified bracket")
+    d, beta, u = split
+    gain = beta / (1.0 + beta * (u @ z))
     v = np.ones(T.n) / math.sqrt(T.n)
-    cache = {}
-    lam = float(v @ T.matvec(v))
     for _ in range(max_iterations):
-        try:
-            w = _solve_cyclic_shifted(T, sigma, v, cache)
-        except np.linalg.LinAlgError:
-            sigma -= width_floor
-            cache.clear()
-            continue
+        # Sherman-Morrison: (C - sigma I)^{-1} v from B - sigma I, whose
+        # Cholesky succeeded for z
+        y = _cholesky_solve(d, T.offdiag, sigma, v)
+        w = y - z * (gain * (u @ y))
         norm = np.linalg.norm(w)
         if not np.isfinite(norm) or norm == 0.0:
             raise NonFinite("inverse iteration produced non-finite vector")
         v = w / norm
         lam = float(v @ T.matvec(v))   # Rayleigh-quotient refinement
-        if _residual(T, lam, v) <= RESIDUAL_TOL:
-            v = _fix_sign(v)
-            return EigenPair(lam, v, _residual(T, lam, v))
+        res = _residual(T, lam, v)
+        if res <= RESIDUAL_TOL:
+            return EigenPair(lam, _fix_sign(v), res)
     raise NoConvergence(max_iterations, "cyclic inverse iteration")
 
 

@@ -2,8 +2,9 @@
 
 The oracles deliberately use different algorithms than the library:
 characteristic-polynomial Sturm sequences with bisection for
-tridiagonal eigenvalues, dense numpy eigensolves for cyclic matrices,
-and closed-form eigenvalues where they exist.
+tridiagonal eigenvalues, LDL^T pivot-sign (Sturm and bordered cyclic
+inertia) counts, dense numpy eigensolves for cyclic matrices, and
+closed-form eigenvalues where they exist.
 """
 
 import math
@@ -35,6 +36,71 @@ def charpoly_count_below(diag, offdiag, lam):
         if v * prev < 0:
             count += 1
         prev = v
+    return count
+
+
+def sturm_count(T, lam):
+    """Number of eigenvalues of a non-cyclic SymTridiag T strictly below lam.
+
+    Standard LDL^T sign recurrence; zero pivots are nudged by a tiny
+    offdiagonal-scaled amount, the usual underflow guard.
+    """
+    if T.corner is not None:
+        raise ValueError("Sturm counting applies to non-cyclic matrices")
+    d = T.diag
+    e = T.offdiag
+    eps = np.finfo(float).eps
+    count = 0
+    piv = d[0] - lam
+    if piv < 0:
+        count += 1
+    for i in range(1, T.n):
+        if piv == 0.0:
+            piv = eps * max(abs(e[i - 1]), eps)
+        piv = (d[i] - lam) - e[i - 1] * e[i - 1] / piv
+        if piv < 0:
+            count += 1
+    return count
+
+
+def cyclic_inertia_below(T, lam):
+    """Number of eigenvalues of a cyclic SymTridiag T strictly below lam.
+
+    Bordered LDL^T: rows are eliminated in order while the last column
+    (carrying the corner coupling) is kept as a dense border, so the
+    pivot signs of (T - lam I) come out in O(n); negative pivot count
+    equals the eigenvalue count by Sylvester's law.
+    """
+    if T.corner is None:
+        return sturm_count(T, lam)
+    n = T.n
+    d = T.diag
+    e = T.offdiag
+    beta = T.corner
+    eps = np.finfo(float).eps
+    guard = eps * max(T.inf_norm(), eps)
+    count = 0
+    piv = d[0] - lam
+    fill = beta                       # current A[i, n-1] after elimination
+    acc = 0.0                         # accumulated border Schur correction
+    for i in range(n - 2):
+        if piv == 0.0:
+            piv = guard
+        if piv < 0:
+            count += 1
+        acc += fill * fill / piv
+        ratio = e[i] / piv
+        nxt_fill = (e[n - 2] if i + 1 == n - 2 else 0.0) - ratio * fill
+        piv = (d[i + 1] - lam) - e[i] * ratio
+        fill = nxt_fill
+    if piv == 0.0:
+        piv = guard
+    if piv < 0:
+        count += 1
+    acc += fill * fill / piv
+    last = (d[n - 1] - lam) - acc
+    if last < 0:
+        count += 1
     return count
 
 

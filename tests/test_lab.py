@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from adveig import lab
 from adveig.assembly import SubBC, assemble_subinterval, principal_eigen
 from adveig.errors import (InsufficientData, IntervalOutOfDomain,
                            KStarUndefined, NonPositiveLambda, NoOverlap,
-                           ValidationError)
+                           NumericalError, ValidationError)
 from adveig.lab import (GridPolicy, LimitProfile, RescaledProfile, SweepRecord,
                         component_mass_radius, estimate_limit, growth_exponent,
                         limit_ode_ground_state, mass_distribution,
@@ -54,6 +55,34 @@ def test_sweep_empty_mass_intervals_and_error_markers():
                     grid_policy=GridPolicy(multiplier=0.0, floor=2000))
     assert records[0].error is None
     assert records[1].error is not None and "GridTooCoarse" in records[1].error
+
+
+def test_mass_drift_raises_typed_error(monkeypatch):
+    """The total-mass check is a raised NumericalError (kept under -O),
+    and sweep records it as an error row."""
+    prof = build_profile(builtin("vee", 0.5))
+    real = lab.eigenfunction_on_grid
+
+    def doubled(op, pair):
+        x, w = real(op, pair)
+        return x, 2.0 * w
+
+    monkeypatch.setattr(lab, "eigenfunction_on_grid", doubled)
+    with pytest.raises(NumericalError, match="drifted"):
+        lab._solve_one(prof, C0, RobinBC.neumann(), 10.0, 2000, ((0.0, 0.5),))
+    records = sweep(prof, C0, RobinBC.neumann(), [10.0], mass_intervals=[(0.0, 0.5)])
+    assert records[0].lam is None and "NumericalError" in records[0].error
+
+
+def test_sweep_propagates_programming_errors(monkeypatch):
+    prof = build_profile(builtin("vee", 0.5))
+
+    def broken(*args):
+        raise TypeError("not a library failure")
+
+    monkeypatch.setattr(lab, "_solve_one", broken)
+    with pytest.raises(TypeError, match="not a library failure"):
+        sweep(prof, C0, RobinBC.neumann(), [10.0])
 
 
 def periodic_quadratic_potential(x0, floor):

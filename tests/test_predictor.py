@@ -4,7 +4,8 @@ import pytest
 
 from adveig.errors import PreconditionViolated
 from adveig.maxset import decompose
-from adveig.predictor import (frak_L, periodic_prediction, predict_limit,
+from adveig.predictor import (LimitTerm, _argmin_set, frak_L,
+                              periodic_prediction, predict_limit,
                               predict_limit_periodic)
 from adveig.profile import (Potential, ProfileSpec, RobinBC, build_profile,
                             builtin, _ramp_coeffs)
@@ -155,3 +156,30 @@ def test_periodic_prediction_plateau():
 def test_periodic_preconditions():
     with pytest.raises(PreconditionViolated):
         predict_limit_periodic(build_profile(builtin("vee", 0.5)), C0)
+
+
+def test_argmin_tie_uses_the_pair_error_estimates():
+    """t2 under Robin data (ell1 = 1.58502) with c = 1.276807 - 0.073879 x
+    + 0.072 x^2: c at the first maximum sits 2.5e-4 above the NR term,
+    both nearly exact.  The wide error estimate of the DD term must not
+    tie them."""
+    terms = [LimitTerm("c_at_point", 1.270790298522928, None),
+             LimitTerm("DD", 573.7364131981376, None, (0.19726, 0.328562),
+                       1.6867662260059053e-3),
+             LimitTerm("ND", 148.3581390199945, None, (0.660744, 0.790258),
+                       1.1286729724702127e-4),
+             LimitTerm("NR", 1.270540811202643, None, (0.861793, 1.0),
+                       8.188936935956311e-10)]
+    assert _argmin_set(terms) == ((3,), 1.270540811202643)
+    # a term within its own error estimate of the minimum stays tied
+    wide = LimitTerm("DD", 1.270540811202643 + 5e-3, None, (0.2, 0.3), 2e-3)
+    assert _argmin_set(terms + [wide]) == ((3, 4), 1.270540811202643)
+
+
+def test_argmin_on_the_robin_case():
+    prof = build_profile(builtin("t2", 0.089193, 0.19726, 0.328562,
+                                 0.660744, 0.790258, 0.861793))
+    c = Potential.from_coeffs([1.276807, -0.073879, 0.072])
+    pred = predict_limit(decompose(prof), c, RobinBC(1.0, 1.58502, 1.0, 0.0))
+    assert [t.kind for t in pred.terms] == ["c_at_point", "DD", "ND", "NR"]
+    assert pred.argmin == (3,)

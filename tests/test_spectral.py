@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from adveig.errors import NonFinite
-from adveig.spectral import (SymTridiag, cyclic_inertia_below, smallest_eig,
-                             sturm_count)
-from conftest import charpoly_count_below, charpoly_smallest
+from adveig import spectral
+from adveig.errors import NoConvergence, NonFinite
+from adveig.spectral import SymTridiag, smallest_eig
+from conftest import (charpoly_count_below, charpoly_smallest,
+                      cyclic_inertia_below, sturm_count)
 
 
 def test_sturm_count_diagonal():
@@ -109,6 +110,41 @@ def test_cyclic_inertia_matches_dense(rng):
         lam = float(rng.normal() * 8)
         dense = int(np.sum(np.linalg.eigvalsh(T.dense()) < lam))
         assert cyclic_inertia_below(T, lam) == dense
+
+
+def test_cyclic_definiteness_test_matches_dense_inertia(rng):
+    """The rank-one Cholesky test answers None exactly when sigma is at
+    or above the smallest eigenvalue of C, for both corner signs."""
+    for sign in (1.0, -1.0):
+        for _ in range(60):
+            n = int(rng.integers(3, 14))
+            T = SymTridiag(rng.normal(size=n) * 5, rng.normal(size=n - 1) * 3,
+                           corner=sign * float(abs(rng.normal()) * 2))
+            lam_min = float(np.linalg.eigvalsh(T.dense())[0])
+            sigma = lam_min + float(rng.normal() * 4)
+            if abs(sigma - lam_min) < 1e-8:
+                continue
+            z = spectral._cyclic_definite_below(T, spectral._rank_one_split(T), sigma)
+            assert (z is not None) == (sigma < lam_min)
+
+
+@pytest.mark.parametrize("offset, certificate", [(1e-3, "Cholesky"),
+                                                  (-1e-3, "Rayleigh quotient")])
+def test_each_certificate_rejects_a_wrong_lapack_eigenvalue(monkeypatch, offset,
+                                                            certificate):
+    """A LAPACK answer off by 1e-3 is refused: too high by the Cholesky
+    (lower) certificate, too low by the Rayleigh-quotient (upper) one."""
+    h = 1.0 / 33
+    T = SymTridiag(np.full(32, 2 / h**2), np.full(31, -1 / h**2))
+    real = spectral.eigh_tridiagonal
+
+    def off(*args, **kwargs):
+        w, v = real(*args, **kwargs)
+        return w + offset, v
+
+    monkeypatch.setattr(spectral, "eigh_tridiagonal", off)
+    with pytest.raises(NoConvergence, match=certificate):
+        smallest_eig(T)
 
 
 def test_positivity_for_negative_offdiagonals(rng):
