@@ -1,18 +1,27 @@
-"""Finite-difference assembly of the eigenvalue problems.
+"""Exponentially fitted (Scharfetter-Gummel) assembly of the eigenvalue
+problems.
 
-Everything is discretized in the transformed w-form -w'' + q(s,x) w
-with q = s^2 (m')^2 + s m'' + c, never in the e^{2sm}-weighted form:
-that is the central numerical-stability decision, since e^{2sm} would
-overflow long before the interesting values of s.
+The operator is -(e^{2sm} phi')' + c e^{2sm} phi, with the flux on each
+cell exact for an exponential weight, symmetrized by w = e^{sm} phi.  A
+cell enters only through its drift d = s (m(x_{i+1}) - m(x_i)), taken
+by Simpson's rule on m' so that m -> m + const leaves the matrix
+bitwise unchanged.  With B(x) = x/(e^x - 1):
 
-Grids are vertex-centered.  A Neumann/Robin end keeps its boundary node
-and eliminates the ghost point through the boundary condition
-w'(boundary) = g * w(boundary); the resulting non-symmetric boundary
-rows are symmetrized by the similarity transform that scales boundary
-unknowns by sqrt(2) (eigenvalues unchanged, boundary entries of the
-eigenvector scale back by sqrt(2)).  A Dirichlet end drops its node.
-With n the matrix dimension this gives h = (b-a)/(n-1) when both ends
-are kept and h = (b-a)/(n+1) when both are dropped.
+    offdiagonal  -(d/sinh d)/h^2
+    diagonal     (B(-2 d_right) + B(2 d_left))/h^2 + c.
+
+No m'', no e^{2sm} and no overflow appear; s = 0 gives the standard
+three-point Laplacian.  The unsymmetrized stiffness rows sum to zero, so
+under Neumann or periodic data constant c is the exact eigenvalue for
+every s.  The one resolution guard is max |d| <= 0.5.
+
+Grids are vertex-centered.  A Neumann/Robin end keeps its node with a
+half cell, the closure hbar phi' = +-ell phi adding 2 (ell/hbar)/h to
+its diagonal, and is symmetrized by scaling that unknown by sqrt(2)
+(eigenvalues unchanged, eigenvector entries scale back).  A Dirichlet
+end drops its node.  With n the matrix dimension this gives
+h = (b-a)/(n-1) when both ends are kept and h = (b-a)/(n+1) when both
+are dropped.
 """
 
 from __future__ import annotations
@@ -22,11 +31,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridTooCoarse, NumericalError, ValidationError
+from .errors import GridTooCoarse, ValidationError
 from .profile import AdvectionProfile, PeriodicBC, Potential, RobinBC
 from .spectral import DEFAULT_TOL_LAMBDA, EigenPair, SymTridiag, smallest_eig
 
 _SQRT2 = math.sqrt(2.0)
+_MAX_DRIFT = 0.5
+_BLOCK = 1 << 15        # cells per vectorized block: keeps temporaries small
 
 
 @dataclass(frozen=True)
@@ -58,6 +69,15 @@ class SubBC:
     def R(hbar, ell):
         return SubBC("R", float(hbar), float(ell))
 
+    def beta(self):
+        """ell/hbar of the closure phi' = +-beta phi, or None for a
+        Dirichlet end."""
+        if self.kind == "N":
+            return 0.0
+        if self.kind == "D" or self.hbar == 0.0:
+            return None
+        return self.ell / self.hbar
+
 
 @dataclass(frozen=True)
 class DiscreteOperator:
@@ -67,7 +87,6 @@ class DiscreteOperator:
     kept: slice = field(repr=False)
     closure: str = ""
     scales: tuple = (1.0, 1.0)      # sqrt(2) desymmetrization at kept ends
-    q_range: tuple = (0.0, 0.0)
     kind: str = "subinterval"       # transformed | subinterval | periodic
     meta: dict = field(default_factory=dict, repr=False)
 
@@ -76,140 +95,131 @@ class DiscreteOperator:
         return self.nodes[self.kept]
 
 
-def _closure_g(sub: SubBC, side: str, s_mprime: float = 0.0):
-    """Ghost-elimination coefficient g in w'(end) = g w(end), or None for
-    a Dirichlet end.  s_mprime carries the transformed-problem term."""
-    if sub.kind == "D" or (sub.kind == "R" and sub.hbar == 0.0):
-        return None
-    if sub.kind == "N":
-        beta = 0.0
-    else:
-        beta = sub.ell / sub.hbar
-    return s_mprime + beta if side == "left" else s_mprime - beta
+def _blocks(n):
+    return ((lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK))
 
 
-def _build(a, b, qfun, n, g_left, g_right, kind, closure, meta):
-    """Assemble the symmetric tridiagonal operator for -w'' + q w on [a,b].
+def _cell_drift(d, profile, s, a, h):
+    """Fill d[i] = s * integral of m' over [a + i h, a + (i+1) h]
+    (Simpson's rule) and return max |d|."""
+    dmax = 0.0
+    for lo, hi in _blocks(d.size):
+        f = profile(a + 0.5 * h * np.arange(2 * lo, 2 * hi + 1), 1)  # ends, midpoints
+        d[lo:hi] = (s * h / 6.0) * (f[:-1:2] + 4.0 * f[1::2] + f[2::2])
+        dmax = max(dmax, float(np.abs(d[lo:hi]).max()))
+    return dmax
 
-    g_left/g_right are the Robin ghost coefficients or None for
-    Dirichlet row removal; n is the matrix dimension.
+
+def _build(a, b, n, c, ends, s=0.0, profile=None, kind="subinterval",
+           closure="", meta=None):
+    """Fitted operator on [a, b] with matrix dimension n.
+
+    ends is (beta_left, beta_right), each the Robin coefficient of a
+    kept end or None for a dropped Dirichlet end, or None for the circle
+    of length b - a.  c is evaluated at the kept nodes; the cell drifts
+    come from s and the profile's m' (none needed at s = 0).
     """
     if n < 4:
         raise ValidationError("grid too small (need n >= 4)")
-    n_nodes = n + (g_left is None) + (g_right is None)
-    h = (b - a) / (n_nodes - 1)
+    if ends is None:
+        n_nodes = n_cells = n
+        kept = slice(0, n)
+    else:
+        n_nodes = n + (ends[0] is None) + (ends[1] is None)
+        n_cells = n_nodes - 1
+        kept = slice(int(ends[0] is None), n_nodes - (ends[1] is None))
+    h = (b - a) / n_cells
+    # the operator's long-lived arrays first; d becomes the offdiagonal
     nodes = a + h * np.arange(n_nodes)
-    nodes[-1] = b
-    kept = slice(1 if g_left is None else 0,
-                 n_nodes - 1 if g_right is None else n_nodes)
-    x = nodes[kept]
-    q = np.asarray(qfun(x), dtype=float)
-    qmax = float(q.max())
-    if h * math.sqrt(max(qmax, 0.0)) > 0.5:
-        raise GridTooCoarse(h, max(qmax, 0.0))
-
-    diag = 2.0 / h**2 + q
-    offdiag = np.full(n - 1, -1.0 / h**2)
+    if ends is not None:
+        nodes[-1] = b
+    diag = np.zeros(n_cells + 1)        # on the circle entry n is node 0
+    d = np.zeros(n_cells)
+    if s:
+        dmax = _cell_drift(d, profile, s, a, h)
+        if dmax > _MAX_DRIFT:
+            raise GridTooCoarse(h, dmax)
+    for lo, hi in _blocks(n_cells):
+        x = 2.0 * d[lo:hi]
+        bp = np.divide(x, np.expm1(x), out=np.ones_like(x), where=x != 0.0)
+        bm = bp + x                     # B(-x) = B(x) + x
+        diag[lo:hi] += bm
+        diag[lo + 1:hi + 1] += bp
+        np.sqrt(bp * bm, out=d[lo:hi])  # B(2d) B(-2d) = (d / sinh d)^2
+    diag /= h ** 2
+    d /= -h ** 2
     scale_left = scale_right = 1.0
-    # ghost slope coefficient sinh(g h)/h instead of g: exact for the
-    # model boundary exponential e^{g x}, identical to g as g h -> 0
-    if g_left is not None:
-        if abs(g_left) * h > 0.5:
-            raise GridTooCoarse(h, g_left ** 2)
-        diag[0] += 2.0 * math.sinh(g_left * h) / h**2
-        offdiag[0] = -_SQRT2 / h**2
-        scale_left = _SQRT2
-    if g_right is not None:
-        if abs(g_right) * h > 0.5:
-            raise GridTooCoarse(h, g_right ** 2)
-        diag[-1] -= 2.0 * math.sinh(g_right * h) / h**2
-        offdiag[-1] = -_SQRT2 / h**2
-        scale_right = _SQRT2
+    corner = None
+    if ends is None:
+        diag[0] += diag[-1]
+        corner = float(d[-1])
+    else:
+        if ends[0] is not None:          # half cell at a kept end
+            diag[0] = 2.0 * diag[0] + 2.0 * ends[0] / h
+            d[0] *= _SQRT2
+            scale_left = _SQRT2
+        if ends[1] is not None:
+            diag[-1] = 2.0 * diag[-1] + 2.0 * ends[1] / h
+            d[-1] *= _SQRT2
+            scale_right = _SQRT2
+    diag = diag[kept]
+    x = nodes[kept]
+    for lo, hi in _blocks(n):
+        diag[lo:hi] += c(x[lo:hi])
     return DiscreteOperator(
-        matrix=SymTridiag(diag, offdiag),
+        matrix=SymTridiag(diag, d[kept.start:kept.start + n - 1], corner=corner),
         grid={"a": float(a), "b": float(b), "n": n, "h": h},
         nodes=nodes,
         kept=kept,
         closure=closure,
         scales=(scale_left, scale_right),
-        q_range=(float(q.min()), qmax),
         kind=kind,
-        meta=meta,
+        meta=meta or {},
     )
 
 
 def assemble_transformed(profile: AdvectionProfile, c: Potential, bc: RobinBC,
                          s: float, n: int) -> DiscreteOperator:
-    """Discrete transformed operator for the full problem at parameter s.
+    """Discrete operator for the full problem at parameter s.
 
-    The transformed Robin closure is w'(0) = (s m'(0) + ell1/hbar1) w(0)
-    and w'(1) = (s m'(1) - ell2/hbar2) w(1); hbar = 0 ends drop the
-    boundary unknown.  No e^{2sm} weight appears anywhere.
+    The Robin closure -hbar1 phi'(0) + ell1 phi(0) = 0 (and its mirror
+    at 1) keeps the boundary node; hbar = 0 ends drop it.
     """
     if s < 0:
         raise ValidationError("s must be >= 0")
     if n < 16:
         raise ValidationError("transformed assembly needs n >= 16")
-
-    def q(x):
-        m1 = profile(x, 1)
-        return s * s * m1 * m1 + s * profile(x, 2) + c(x)
-
-    g_left = _closure_g(SubBC.R(bc.hbar1, bc.ell1) if bc.hbar1 > 0 else SubBC.D(),
-                        "left", s * profile.one_sided(0.0, 1, "right"))
-    g_right = _closure_g(SubBC.R(bc.hbar2, bc.ell2) if bc.hbar2 > 0 else SubBC.D(),
-                         "right", s * profile.one_sided(1.0, 1, "left"))
+    ends = (SubBC.R(bc.hbar1, bc.ell1).beta(), SubBC.R(bc.hbar2, bc.ell2).beta())
     closure = (f"robin(h1={bc.hbar1},l1={bc.ell1},h2={bc.hbar2},l2={bc.ell2}) "
-               "ghost-eliminated, transformed")
-    meta = {"s": s, "bc": bc, "c_range": c.range,
-            "neumann": bc.ell1 == 0.0 and bc.ell2 == 0.0}
-    return _build(0.0, 1.0, q, n, g_left, g_right, "transformed", closure, meta)
+               "exponentially fitted")
+    return _build(0.0, 1.0, n, c, ends, s, profile, "transformed", closure,
+                  {"s": s, "bc": bc})
 
 
 def assemble_subinterval(c: Potential, a: float, b: float,
                          left: SubBC, right: SubBC, n: int) -> DiscreteOperator:
     """Discretization of -phi'' + c phi on (a, b) with N/D/R closures;
-    the s = 0, constant-m special case of the transformed assembly."""
+    the s = 0 case of the transformed assembly."""
     if not (0.0 <= a < b <= 1.0):
         raise ValidationError("need 0 <= a < b <= 1")
     if left.kind == "R" and a != 0.0:
         raise ValidationError("R closure inherits the global condition at 0")
     if right.kind == "R" and b != 1.0:
         raise ValidationError("R closure inherits the global condition at 1")
-    g_left = _closure_g(left, "left")
-    g_right = _closure_g(right, "right")
     closure = f"{left.kind}{right.kind} on [{a:g},{b:g}]"
-    meta = {"c_range": c.range}
-    return _build(a, b, c, n, g_left, g_right, "subinterval", closure, meta)
+    return _build(a, b, n, c, (left.beta(), right.beta()), closure=closure)
 
 
 def assemble_periodic(profile: AdvectionProfile, c: Potential,
                       s: float, n: int) -> DiscreteOperator:
-    """Cyclic tridiagonal operator for -w'' + q(s,x) w on the circle."""
+    """Cyclic tridiagonal operator on the circle, n nodes x_i = i/n."""
     if s < 0:
         raise ValidationError("s must be >= 0")
     if n < 16:
         raise ValidationError("periodic assembly needs n >= 16")
     PeriodicBC().validate(profile, c)
-    h = 1.0 / n
-    x = h * np.arange(n)
-    m1 = profile(x, 1)
-    q = s * s * m1 * m1 + s * profile(x, 2) + c(x)
-    qmax = float(q.max())
-    if h * math.sqrt(max(qmax, 0.0)) > 0.5:
-        raise GridTooCoarse(h, max(qmax, 0.0))
-    return DiscreteOperator(
-        matrix=SymTridiag(2.0 / h**2 + q, np.full(n - 1, -1.0 / h**2),
-                          corner=-1.0 / h**2),
-        grid={"a": 0.0, "b": 1.0, "n": n, "h": h},
-        nodes=x,
-        kept=slice(0, n),
-        closure="periodic wrap",
-        scales=(1.0, 1.0),
-        q_range=(float(q.min()), qmax),
-        kind="periodic",
-        meta={"s": s, "c_range": c.range},
-    )
+    return _build(0.0, 1.0, n, c, None, s, profile, "periodic", "periodic wrap",
+                  {"s": s})
 
 
 def principal_eigen(op: DiscreteOperator,
@@ -225,18 +235,7 @@ def principal_eigen(op: DiscreteOperator,
     w[0] *= op.scales[0]
     w[-1] *= op.scales[1]
     x, full = _full_grid_function(op, w)
-    norm = math.sqrt(_trapz_sq(op, x, full))
-    w /= norm
-    if op.kind == "transformed" and op.meta.get("neumann"):
-        # continuum bound min c <= lambda^N(s) <= max c; the discrete
-        # value may undershoot by the boundary-layer resolution error,
-        # so slack 1 marks genuinely unresolved grids
-        c_min = op.meta["c_range"][0]
-        if pair.lam < c_min - 1.0:
-            raise NumericalError(
-                f"Neumann eigenvalue {pair.lam:.6g} fell below min c - 1 = "
-                f"{c_min - 1.0:.6g}; the grid does not resolve the boundary "
-                "layers at this s")
+    w /= math.sqrt(_trapz_sq(op, x, full))
     return EigenPair(pair.lam, w, pair.residual)
 
 

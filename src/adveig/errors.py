@@ -97,12 +97,12 @@ class NonFinite(NumericalError):
 class GridTooCoarse(ValidationError):
     code = "GridTooCoarse"
 
-    def __init__(self, h, qmax):
+    def __init__(self, h, drift):
         super().__init__(
-            f"h*sqrt(max q) = {h * qmax ** 0.5:.3f} > 0.5; boundary layers unresolved "
-            f"(h={h:.3e}, max q={qmax:.3e})")
+            f"max |s dm| per cell = {drift:.3f} > 0.5; boundary layers unresolved "
+            f"(h={h:.3e})")
         self.h = h
-        self.qmax = qmax
+        self.drift = drift
 
 
 class NotPeriodic(ValidationError):

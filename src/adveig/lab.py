@@ -34,8 +34,8 @@ from .profile import PeriodicBC
 @dataclass(frozen=True)
 class GridPolicy:
     """n(s) = max(floor, ceil(multiplier * s * max|m'| * length)): resolves
-    the exp(-s dist)-scale boundary layers; the assembly guard
-    h sqrt(max q) <= 0.5 then holds with a wide margin."""
+    the exp(-s dist)-scale boundary layers; every cell drift s |dm| is
+    then at most 1/multiplier, well inside the assembly guard 0.5."""
     multiplier: float = 16.0
     floor: int = 2000
 
@@ -278,8 +278,7 @@ def limit_ode_ground_state(m_kstar: float, k_star: int, half_line: str = "none",
     else:
         a, b, g_left, g_right = 0.0, Y, 0.0, None
 
-    op = _build(a, b, V, n, g_left, g_right, "subinterval",
-                f"limit ODE k*={k}", {"c_range": (0.0, 0.0)})
+    op = _build(a, b, n, V, (g_left, g_right), closure=f"limit ODE k*={k}")
     pair = principal_eigen(op)
     x, vals = eigenfunction_on_grid(op, pair)
 

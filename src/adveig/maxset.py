@@ -85,8 +85,20 @@ def _sign_runs(profile: AdvectionProfile):
     return runs
 
 
-def _one_sided_orders(profile, x, side, k):
-    return profile.one_sided(x, k, side)
+# one-sided derivative sequences that exist at each kind of maximum
+_SIDES = {INTERIOR: ("left", "right"),
+          LEFT_BOUNDARY: ("right",),
+          RIGHT_BOUNDARY: ("left",)}
+
+
+def _zero_tol(profile):
+    """Tolerance below which a derivative value counts as zero."""
+    return 1e-9 * max(1.0, profile.coefficient_scale())
+
+
+def _sloped(profile, x, position, tol):
+    """m'(x) != 0 on some side of x that exists."""
+    return any(abs(profile.one_sided(x, 1, s)) > tol for s in _SIDES[position])
 
 
 def _kstar_at(profile: AdvectionProfile, x, position):
@@ -97,17 +109,11 @@ def _kstar_at(profile: AdvectionProfile, x, position):
     inward side exists.  m'(x) != 0 (possible at a boundary maximum)
     leaves k* undefined since the definition starts from m'(x) = 0.
     """
-    scale = max(1.0, profile.coefficient_scale())
-    tol = 1e-9 * scale
-    sides = {INTERIOR: ("left", "right"),
-             LEFT_BOUNDARY: ("right",),
-             RIGHT_BOUNDARY: ("left",)}[position]
-
-    d1 = [_one_sided_orders(profile, x, s, 1) for s in sides]
-    if any(abs(v) > tol for v in d1):
+    tol = _zero_tol(profile)
+    if _sloped(profile, x, position, tol):
         return None, None
     for k in range(2, DEGREE_CAP + 1):
-        vals = [_one_sided_orders(profile, x, s, k) for s in sides]
+        vals = [profile.one_sided(x, k, s) for s in _SIDES[position]]
         if len(vals) == 2 and abs(vals[0] - vals[1]) > tol * max(1.0, abs(vals[0]), abs(vals[1])):
             return None, None   # genuine junction: higher derivatives disagree
         if abs(vals[0]) > tol:
@@ -177,12 +183,7 @@ def degeneracy_order(profile: AdvectionProfile, x0: float):
     if point.k_star is not None:
         return point.k_star, point.m_kstar
     # distinguish "undefined because junction" from "m' != 0 at boundary"
-    sides = {INTERIOR: ("left", "right"),
-             LEFT_BOUNDARY: ("right",),
-             RIGHT_BOUNDARY: ("left",)}[point.position]
-    d1 = [profile.one_sided(point.x, 1, s) for s in sides]
-    scale = max(1.0, profile.coefficient_scale())
-    if any(abs(v) > 1e-9 * scale for v in d1):
+    if _sloped(profile, point.x, point.position, _zero_tol(profile)):
         raise AtSegmentJunction(
             f"m'({x0}) != 0: degeneracy order starts at k >= 2")
     raise AtSegmentJunction(

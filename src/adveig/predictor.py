@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .assembly import SubBC, assemble_subinterval, principal_eigen
-from .errors import BoundaryClassPresent, PreconditionViolated
+from .errors import PreconditionViolated
 from .maxset import (SEGMENT_SUB_BC, MaxSetDecomposition, boundedness,
                      decompose_periodic)
 from .profile import Potential, RobinBC
@@ -63,31 +63,29 @@ def _sub_eigenvalue(c, a, b, left, right, grid_n):
     return fine, abs(fine - coarse) / 3.0   # second-order Richardson gap
 
 
-def _segment_closures(seg, bc):
-    """Left/right SubBC for a plateau class, inheriting the global Robin
-    pair where the class touches a boundary."""
-    left_kind, right_kind = SEGMENT_SUB_BC[seg.cls]
-    left = SubBC.R(bc.hbar1, bc.ell1) if left_kind == "R" else SubBC(left_kind)
-    right = SubBC.R(bc.hbar2, bc.ell2) if right_kind == "R" else SubBC(right_kind)
-    return left, right
+def _segment_term(seg, c, bc, grid_n):
+    """Sub-interval eigenvalue term of a plateau; an R end inherits the
+    global Robin pair of bc at the boundary the class touches."""
+    left, right = SEGMENT_SUB_BC[seg.cls]
+    lam, err = _sub_eigenvalue(
+        c, seg.a, seg.b,
+        SubBC.R(bc.hbar1, bc.ell1) if left == "R" else SubBC(left),
+        SubBC.R(bc.hbar2, bc.ell2) if right == "R" else SubBC(right), grid_n)
+    return LimitTerm(left + right, lam, seg, (seg.a, seg.b), err)
 
 
 def frak_L(decomp: MaxSetDecomposition, c: Potential,
            grid_n: int = DEFAULT_GRID_PER_UNIT) -> float:
     """min over inner plateaus of their ND/NN/DD/DN eigenvalues; +inf
     when M2..M5 are all empty."""
-    best = math.inf
-    for seg in decomp.segments:
-        if seg.cls not in ("M2", "M3", "M4", "M5"):
-            continue
-        left_kind, right_kind = SEGMENT_SUB_BC[seg.cls]
-        lam, _ = _sub_eigenvalue(c, seg.a, seg.b,
-                                 SubBC(left_kind), SubBC(right_kind), grid_n)
-        best = min(best, lam)
-    return best
+    return min((_segment_term(seg, c, None, grid_n).value
+                for seg in decomp.segments
+                if seg.cls in ("M2", "M3", "M4", "M5")), default=math.inf)
 
 
 def _collect_terms(decomp, c, bc, grid_n):
+    """c terms at the isolated maxima that count, then one term per
+    plateau; bc is only read at boundary maxima and boundary plateaus."""
     terms = []
     for point in decomp.isolated:
         if point.position == "interior":
@@ -96,12 +94,7 @@ def _collect_terms(decomp, c, bc, grid_n):
             terms.append(LimitTerm("c_at_point", float(c(0.0)), point))
         elif point.position == "right_boundary" and bc.ell2 == 0.0:
             terms.append(LimitTerm("c_at_point", float(c(1.0)), point))
-    for seg in decomp.segments:
-        left, right = _segment_closures(seg, bc)
-        lam, err = _sub_eigenvalue(c, seg.a, seg.b, left, right, grid_n)
-        kind = {"M2": "ND", "M3": "NN", "M4": "DD", "M5": "DN",
-                "M6": "RD", "M7": "RN", "M8": "NR", "M9": "DR"}[seg.cls]
-        terms.append(LimitTerm(kind, lam, seg, (seg.a, seg.b), err))
+    terms.extend(_segment_term(seg, c, bc, grid_n) for seg in decomp.segments)
     return terms
 
 
@@ -121,6 +114,11 @@ def _argmin_set(terms):
     return tuple(i for i, t in enumerate(terms) if tied(t)), best.value
 
 
+def _finite(terms):
+    argmin, best = _argmin_set(terms)
+    return LimitPrediction(True, best, tuple(terms), argmin)
+
+
 def predict_limit(decomp: MaxSetDecomposition, c: Potential, bc: RobinBC,
                   grid_n: int = DEFAULT_GRID_PER_UNIT) -> LimitPrediction:
     """Limit prediction for the Robin problem, or the unbounded verdict."""
@@ -132,26 +130,16 @@ def predict_limit(decomp: MaxSetDecomposition, c: Potential, bc: RobinBC,
         # all maxima are boundary points shielded by ell > 0, yet the
         # trichotomy said bounded: cannot happen for a valid decomposition
         raise PreconditionViolated("bounded verdict without candidate terms")
-    argmin, best = _argmin_set(terms)
-    return LimitPrediction(True, best, tuple(terms), argmin)
+    return _finite(terms)
 
 
 def periodic_prediction(profile, c: Potential,
                         grid_n: int = DEFAULT_GRID_PER_UNIT) -> LimitPrediction:
     """Term-by-term form of the periodic limit min{frak_L, min c over
-    isolated maxima}: always finite, c terms at every isolated maximum."""
-    decomp = decompose_periodic(profile)
-    if decomp.boundary_segments():
-        raise BoundaryClassPresent("boundary plateau in periodic decomposition")
-    terms = [LimitTerm("c_at_point", float(c(p.x)), p) for p in decomp.isolated]
-    for seg in decomp.segments:
-        left_kind, right_kind = SEGMENT_SUB_BC[seg.cls]
-        lam, err = _sub_eigenvalue(c, seg.a, seg.b,
-                                   SubBC(left_kind), SubBC(right_kind), grid_n)
-        kind = {"M2": "ND", "M3": "NN", "M4": "DD", "M5": "DN"}[seg.cls]
-        terms.append(LimitTerm(kind, lam, seg, (seg.a, seg.b), err))
-    argmin, best = _argmin_set(terms)
-    return LimitPrediction(True, best, tuple(terms), argmin)
+    isolated maxima}: always finite, the case with no boundary terms
+    (decompose_periodic keeps interior maxima only and rejects boundary
+    plateaus)."""
+    return _finite(_collect_terms(decompose_periodic(profile), c, None, grid_n))
 
 
 def predict_limit_periodic(profile, c: Potential,

@@ -76,21 +76,19 @@ class PiecewisePoly:
         self.segments = [np.asarray(seg, dtype=float) for seg in segments]
         self.widths = np.diff(self.knots)
         width = max(len(s) for s in self.segments)
-        self._coef_cache = {}
         base = np.zeros((len(self.segments), width))
         for i, seg in enumerate(self.segments):
             base[i, :len(seg)] = seg
-        self._coef_cache[0] = base
+        # every derivative order, filled once: the object is shared
+        # read-only across threads; orders past the degree are zero
+        cache = [base]
+        for k in range(width - 1, 0, -1):
+            cache.append(cache[-1][:, 1:] * np.arange(1, k + 1))
+        cache.append(np.zeros((len(self.segments), 1)))
+        self._coef_cache = tuple(cache)
 
     def _coefs(self, order):
-        if order not in self._coef_cache:
-            prev = self._coefs(order - 1)
-            if prev.shape[1] <= 1:
-                out = np.zeros((prev.shape[0], 1))
-            else:
-                out = prev[:, 1:] * np.arange(1, prev.shape[1])
-            self._coef_cache[order] = out
-        return self._coef_cache[order]
+        return self._coef_cache[min(order, len(self._coef_cache) - 1)]
 
     def __call__(self, x, order=0):
         """Evaluate the order-th derivative at x (scalar or array).
@@ -102,16 +100,18 @@ class PiecewisePoly:
         scalar = x_arr.ndim == 0
         x_arr = np.atleast_1d(x_arr)
         lo, hi = self.knots[0], self.knots[-1]
-        if np.any(x_arr < lo - _DOMAIN_SLACK) or np.any(x_arr > hi + _DOMAIN_SLACK):
+        x_min, x_max = x_arr.min(initial=lo), x_arr.max(initial=hi)
+        if x_min < lo - _DOMAIN_SLACK or x_max > hi + _DOMAIN_SLACK:
             raise OutOfDomain(f"evaluation outside [{lo}, {hi}]")
-        x_arr = np.clip(x_arr, lo, hi)
-        idx = np.clip(np.searchsorted(self.knots, x_arr, side="right") - 1,
-                      0, len(self.segments) - 1)
+        if x_min < lo or x_max > hi:
+            x_arr = np.clip(x_arr, lo, hi)
+        idx = np.searchsorted(self.knots[1:-1], x_arr, side="right")
         t = x_arr - self.knots[idx]
-        coefs = self._coefs(order)[idx]
-        acc = coefs[:, -1].copy()
+        coefs = self._coefs(order)
+        acc = coefs[idx, -1]
         for k in range(coefs.shape[1] - 2, -1, -1):
-            acc = acc * t + coefs[:, k]
+            acc *= t
+            acc += coefs[idx, k]
         return float(acc[0]) if scalar else acc
 
     def one_sided(self, x, order, side):

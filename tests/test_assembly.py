@@ -7,11 +7,13 @@ from adveig.assembly import (SubBC, assemble_periodic, assemble_subinterval,
                              assemble_transformed, eigenfunction_on_grid,
                              principal_eigen)
 from adveig.errors import GridTooCoarse, NotPeriodic, ValidationError
+from adveig.lab import DEFAULT_POLICY
 from adveig.profile import (Potential, RobinBC, TEMPLATES, build_profile,
                             builtin)
 
 C0 = Potential.zero()
 PI2 = math.pi ** 2
+T1 = (0.15, 0.3, 0.45, 0.6, 0.8)
 
 
 def sub_lambda(c, a, b, left, right, n):
@@ -49,21 +51,21 @@ def test_robin_closure_against_analytic_value():
 
 
 def test_transformed_neumann_zero_potential():
-    # constant phi solves the original Neumann problem with lam = 0;
-    # the stiff t1 ramps need a few more points for the 1e-6 claim
-    for name, params, n in (("t1", (0.15, 0.3, 0.45, 0.6, 0.8), 16000),
-                            ("vee", (0.5,), 4000),
-                            ("power_max", (0.5, 2), 4000)):
+    # constant phi solves the original Neumann problem with lam = 0
+    for name, params in (("t1", T1), ("vee", (0.5,)), ("power_max", (0.5, 2))):
         prof = build_profile(builtin(name, *params))
-        op = assemble_transformed(prof, C0, RobinBC.neumann(), 1.0, n)
+        op = assemble_transformed(prof, C0, RobinBC.neumann(), 1.0, 4000)
         assert abs(principal_eigen(op).lam) <= 1e-6
 
 
 def test_transformed_dirichlet_linear_profile():
-    # m(x) = x: q = s^2, so lam = s^2 + pi^2 exactly in the continuum
+    # m(x) = x: lam = s^2 + pi^2 in the continuum; on the default grid
+    # the relative error is (s h)^2 / 12
     prof = build_profile(builtin("monotone_increasing"))
-    op = assemble_transformed(prof, C0, RobinBC.dirichlet(), 10.0, 4000)
-    assert principal_eigen(op).lam == pytest.approx(100.0 + PI2, rel=1e-3)
+    for s in (10.0, 100.0, 1e3, 1e4):
+        op = assemble_transformed(prof, C0, RobinBC.dirichlet(), s,
+                                  DEFAULT_POLICY.n_for(prof, s))
+        assert principal_eigen(op).lam == pytest.approx(s * s + PI2, rel=1e-3), s
 
 
 def test_potential_shift_moves_diagonal_exactly():
@@ -99,8 +101,48 @@ def test_grid_conventions():
 
 def test_grid_too_coarse_guard():
     prof = build_profile(builtin("monotone_increasing"))
-    with pytest.raises(GridTooCoarse):
+    with pytest.raises(GridTooCoarse) as info:
         assemble_transformed(prof, C0, RobinBC.dirichlet(), 400.0, 20)
+    assert info.value.drift == pytest.approx(400.0 / 21)
+
+
+def test_zero_s_is_the_subinterval_operator():
+    c = Potential.from_coeffs([1.0, -2.0, 3.0])
+    prof = build_profile(builtin("t1", *T1))
+    for bc, left, right in ((RobinBC.neumann(), SubBC.N(), SubBC.N()),
+                            (RobinBC(0.0, 1.0, 2.0, 3.0), SubBC.D(), SubBC.R(2.0, 3.0))):
+        full = assemble_transformed(prof, c, bc, 0.0, 500).matrix
+        sub = assemble_subinterval(c, 0.0, 1.0, left, right, 500).matrix
+        assert np.array_equal(full.diag, sub.diag)
+        assert np.array_equal(full.offdiag, sub.offdiag)
+
+
+@pytest.mark.parametrize("s", [1.0, 100.0, 1e4])
+def test_constant_potential_is_the_eigenvalue(s):
+    """lambda = c for constant c under Neumann and periodic data at every
+    s, to the solver's certificate margin: the fitted stiffness has the
+    exact discrete null vector e^{s m}."""
+    c = Potential.constant(2.5)
+    for name, params, bc in (("t1", T1, RobinBC.neumann()),
+                             ("vee", (0.5,), RobinBC.neumann()),
+                             ("periodic_bump", (0.25,), None)):
+        prof = build_profile(builtin(name, *params))
+        n = DEFAULT_POLICY.n_for(prof, s)
+        op = (assemble_periodic(prof, c, s, n) if bc is None
+              else assemble_transformed(prof, c, bc, s, n))
+        margin = 64 * np.finfo(float).eps * op.matrix.inf_norm()
+        assert abs(principal_eigen(op).lam - 2.5) <= margin, (name, s)
+
+
+def test_eigenvalue_independent_of_knot_positions():
+    # n = 29999..30003 moves every C^2 ramp junction across a cell
+    prof = build_profile(builtin("t1", *T1))
+    c = Potential.from_coeffs([2.9, -12.0, 40.0])
+    lams = [principal_eigen(assemble_transformed(prof, c, RobinBC.neumann(),
+                                                 100.0, n)).lam
+            for n in range(29999, 30004)]
+    assert max(lams) - min(lams) <= 1e-6
+    assert lams[0] == pytest.approx(2.004248, abs=1e-6)
 
 
 def test_periodic_assembly():
@@ -160,13 +202,10 @@ def test_bc_monotonicity_chain():
 
 
 def test_neumann_paper_bound_across_templates():
-    """min c - 0.01 <= lambda^N(s) <= max c + 0.01 over the s-ladder.
-
-    Mass concentrating at a boundary with m'(boundary) != 0 makes the
-    eigenvalue error scale like (h s m'_b)^2 (s m'_b)^2 / 12, so n is
-    raised to that requirement where it exceeds the default policy (the
-    policy target is layer resolution, not 1e-2 eigenvalue accuracy).
-    """
+    """min c <= lambda^N(s) <= max c over the s-ladder on the default
+    grid, to the solver's certificate margin: the fitted stiffness rows
+    sum to zero, so the bound holds discretely, boundary layers at
+    m'(boundary) != 0 included."""
     c = Potential.from_segments((0.0, 1.0), ((1.0, 1.0, -1.0),))
     c_lo, c_hi = c.range
     params = {"example1": (0.15, 0.4, 0.6, 0.85), "example2": (0.3, 0.7),
@@ -178,14 +217,12 @@ def test_neumann_paper_bound_across_templates():
     assert set(params) == set(TEMPLATES)
     for name, p in params.items():
         prof = build_profile(builtin(name, *p))
-        slope_b = max(abs(prof.one_sided(0.0, 1, "right")),
-                      abs(prof.one_sided(1.0, 1, "left")))
         for s in (25.0, 50.0, 100.0, 200.0):
-            n = max(2000, math.ceil(16 * s * prof.max_abs_deriv),
-                    math.ceil((s * slope_b) ** 2 / math.sqrt(12 * 2e-3)))
-            lam = principal_eigen(
-                assemble_transformed(prof, c, RobinBC.neumann(), s, n)).lam
-            assert c_lo - 0.01 <= lam <= c_hi + 0.01, (name, s, lam)
+            op = assemble_transformed(prof, c, RobinBC.neumann(), s,
+                                      DEFAULT_POLICY.n_for(prof, s))
+            margin = 64 * np.finfo(float).eps * op.matrix.inf_norm()
+            lam = principal_eigen(op).lam
+            assert c_lo - margin <= lam <= c_hi + margin, (name, s, lam)
 
 
 def test_validation_errors():

@@ -220,22 +220,28 @@ def test_solve_periodic_bc(capsys):
     assert float(out.strip()) == pytest.approx(3.0, abs=1e-8)
 
 
-def test_grid_policy_flags(capsys):
+def test_grid_policy_flags(capsys, monkeypatch):
     vals = {}
     for mult in ("16", "64"):
         code, out, _ = run_cli(capsys, "solve", "--template",
                                "monotone_increasing", "--bc", "robin:1,0,1,0",
                                "--s", "50", "--grid-multiplier", mult,
-                               "--c", "const:1")
+                               "--c", "poly:1,1")
         assert code == 0
         vals[mult] = float(out.strip())
     assert vals["64"] != vals["16"]   # finer grid changes the discrete value
-    # unresolved boundary layers are a numerical failure, exit code 3
+    # a failed eigensolve is a numerical failure, exit code 3
+    import adveig.cli
+    from adveig.errors import NoConvergence
+
+    def fail(op):
+        raise NoConvergence(6, "forced")
+
+    monkeypatch.setattr(adveig.cli, "principal_eigen", fail)
     code, _, err = run_cli(capsys, "solve", "--template",
                            "monotone_increasing", "--bc", "robin:1,0,1,0",
-                           "--s", "200", "--grid-multiplier", "16",
-                           "--c", "const:1")
-    assert code == 3 and err.startswith("NumericalError")
+                           "--s", "200", "--c", "const:1")
+    assert code == 3 and err.startswith("NoConvergence: ")
 
 
 def test_ladder_forms(capsys, tmp_path):
