@@ -21,7 +21,9 @@ its diagonal, and is symmetrized by scaling that unknown by sqrt(2)
 (eigenvalues unchanged, eigenvector entries scale back).  A Dirichlet
 end drops its node.  With n the matrix dimension this gives
 h = (b-a)/(n-1) when both ends are kept and h = (b-a)/(n+1) when both
-are dropped.
+are dropped.  On the circle (PeriodicBC) the n nodes are x_i = i/n and
+the matrix carries a cyclic corner: an operator is periodic exactly when
+matrix.corner is not None.
 """
 
 from __future__ import annotations
@@ -85,14 +87,7 @@ class DiscreteOperator:
     grid: dict                      # {a, b, n, h}; n is the matrix dimension
     nodes: np.ndarray = field(repr=False)   # all nodes incl. dropped Dirichlet ones
     kept: slice = field(repr=False)
-    closure: str = ""
     scales: tuple = (1.0, 1.0)      # sqrt(2) desymmetrization at kept ends
-    kind: str = "subinterval"       # transformed | subinterval | periodic
-    meta: dict = field(default_factory=dict, repr=False)
-
-    @property
-    def kept_nodes(self):
-        return self.nodes[self.kept]
 
 
 def _blocks(n):
@@ -110,8 +105,7 @@ def _cell_drift(d, profile, s, a, h):
     return dmax
 
 
-def _build(a, b, n, c, ends, s=0.0, profile=None, kind="subinterval",
-           closure="", meta=None):
+def _build(a, b, n, c, ends, s=0.0, profile=None):
     """Fitted operator on [a, b] with matrix dimension n.
 
     ends is (beta_left, beta_right), each the Robin coefficient of a
@@ -171,29 +165,29 @@ def _build(a, b, n, c, ends, s=0.0, profile=None, kind="subinterval",
         grid={"a": float(a), "b": float(b), "n": n, "h": h},
         nodes=nodes,
         kept=kept,
-        closure=closure,
         scales=(scale_left, scale_right),
-        kind=kind,
-        meta=meta or {},
     )
 
 
-def assemble_transformed(profile: AdvectionProfile, c: Potential, bc: RobinBC,
-                         s: float, n: int) -> DiscreteOperator:
+def assemble_transformed(profile: AdvectionProfile, c: Potential,
+                         bc: RobinBC | PeriodicBC, s: float,
+                         n: int) -> DiscreteOperator:
     """Discrete operator for the full problem at parameter s.
 
-    The Robin closure -hbar1 phi'(0) + ell1 phi(0) = 0 (and its mirror
-    at 1) keeps the boundary node; hbar = 0 ends drop it.
+    Under a RobinBC the closure -hbar1 phi'(0) + ell1 phi(0) = 0 (and its
+    mirror at 1) keeps the boundary node; hbar = 0 ends drop it.  Under a
+    PeriodicBC the operator is cyclic on the circle, n nodes x_i = i/n.
     """
     if s < 0:
         raise ValidationError("s must be >= 0")
     if n < 16:
         raise ValidationError("transformed assembly needs n >= 16")
-    ends = (SubBC.R(bc.hbar1, bc.ell1).beta(), SubBC.R(bc.hbar2, bc.ell2).beta())
-    closure = (f"robin(h1={bc.hbar1},l1={bc.ell1},h2={bc.hbar2},l2={bc.ell2}) "
-               "exponentially fitted")
-    return _build(0.0, 1.0, n, c, ends, s, profile, "transformed", closure,
-                  {"s": s, "bc": bc})
+    if isinstance(bc, PeriodicBC):
+        bc.validate(profile, c)
+        ends = None
+    else:
+        ends = (SubBC.R(bc.hbar1, bc.ell1).beta(), SubBC.R(bc.hbar2, bc.ell2).beta())
+    return _build(0.0, 1.0, n, c, ends, s, profile)
 
 
 def assemble_subinterval(c: Potential, a: float, b: float,
@@ -206,20 +200,13 @@ def assemble_subinterval(c: Potential, a: float, b: float,
         raise ValidationError("R closure inherits the global condition at 0")
     if right.kind == "R" and b != 1.0:
         raise ValidationError("R closure inherits the global condition at 1")
-    closure = f"{left.kind}{right.kind} on [{a:g},{b:g}]"
-    return _build(a, b, n, c, (left.beta(), right.beta()), closure=closure)
+    return _build(a, b, n, c, (left.beta(), right.beta()))
 
 
 def assemble_periodic(profile: AdvectionProfile, c: Potential,
                       s: float, n: int) -> DiscreteOperator:
-    """Cyclic tridiagonal operator on the circle, n nodes x_i = i/n."""
-    if s < 0:
-        raise ValidationError("s must be >= 0")
-    if n < 16:
-        raise ValidationError("periodic assembly needs n >= 16")
-    PeriodicBC().validate(profile, c)
-    return _build(0.0, 1.0, n, c, None, s, profile, "periodic", "periodic wrap",
-                  {"s": s})
+    """assemble_transformed under PeriodicBC."""
+    return assemble_transformed(profile, c, PeriodicBC(), s, n)
 
 
 def principal_eigen(op: DiscreteOperator,
@@ -240,7 +227,7 @@ def principal_eigen(op: DiscreteOperator,
 
 
 def _trapz_sq(op, x, w):
-    if op.kind == "periodic":
+    if op.matrix.corner is not None:
         return float(np.sum(w**2) * op.grid["h"])  # uniform weights on the circle
     return float(np.trapezoid(w**2, x))
 

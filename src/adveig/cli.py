@@ -11,6 +11,7 @@ error, 3 numerical failure; errors go to stderr as "Code: message".
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -20,11 +21,12 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import lab, maxset, predictor
-from .assembly import assemble_periodic, assemble_transformed, \
-    eigenfunction_on_grid, principal_eigen
+from .assembly import assemble_transformed, eigenfunction_on_grid, \
+    principal_eigen
 from .errors import MalformedSpec, NumericalError, ValidationError
 from .profile import (PeriodicBC, Potential, RobinBC, TEMPLATES, build_profile,
-                      builtin, load_profile_json)
+                      builtin, load_profile_json, potential_from_dict,
+                      read_json)
 
 
 def _fmt(v):
@@ -49,10 +51,16 @@ def _emit_json(payload, stream=None):
 
 # -- argument parsing ----------------------------------------------------
 
+def _number(text, convert=float):
+    try:
+        return convert(text)
+    except ValueError:
+        raise MalformedSpec(f"not a number: {text!r}") from None
+
+
 def _parse_template_arg(text):
     name, _, rest = text.partition(":")
-    params = [float(p) for p in rest.split(",") if p] if rest else []
-    return builtin(name, *params)
+    return builtin(name, *[_number(p) for p in rest.split(",") if p])
 
 
 def _load_inputs(args):
@@ -77,15 +85,14 @@ def _parse_potential_arg(text):
     if text == "zero":
         return Potential.zero()
     if text.startswith("const:"):
-        return Potential.constant(float(text[len("const:"):]))
+        return Potential.constant(_number(text[len("const:"):]))
     if text.startswith("poly:"):
-        return Potential.from_coeffs([float(v) for v in text[len("poly:"):].split(",")])
+        return Potential.from_coeffs([_number(v) for v in text[len("poly:"):].split(",")])
     if os.path.exists(text):
-        with open(text) as fh:
-            data = json.load(fh)
-        block = data.get("potential", data)
-        return Potential.from_segments(tuple(block["knots"]),
-                                       tuple(tuple(s) for s in block["segments"]))
+        data = read_json(text)
+        if isinstance(data, dict) and "potential" in data:
+            data = data["potential"]
+        return potential_from_dict(data)
     raise MalformedSpec(f"cannot parse potential {text!r} "
                         "(use zero | const:v | poly:c0,c1,... | FILE)")
 
@@ -94,7 +101,7 @@ def _parse_bc(text):
     if text == "periodic":
         return PeriodicBC()
     if text.startswith("robin:"):
-        vals = [float(v) for v in text[len("robin:"):].split(",")]
+        vals = [_number(v) for v in text[len("robin:"):].split(",")]
         if len(vals) != 4:
             raise MalformedSpec("--bc robin needs hbar1,ell1,hbar2,ell2")
         return RobinBC(*vals)
@@ -106,7 +113,7 @@ def _parse_ladder(text):
         parts = text.split(":")
         if len(parts) not in (3, 4):
             raise MalformedSpec("--ladder needs start:stop:count[:log|lin]")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        start, stop, count = _number(parts[0]), _number(parts[1]), _number(parts[2], int)
         mode = parts[3] if len(parts) == 4 else "log"
         if count < 1 or start <= 0 or stop <= start:
             raise MalformedSpec("ladder must be ascending with positive start")
@@ -117,7 +124,7 @@ def _parse_ladder(text):
         else:
             raise MalformedSpec("ladder mode must be log or lin")
     else:
-        ladder = [float(v) for v in text.split(",") if v]
+        ladder = [_number(v) for v in text.split(",") if v]
     if any(b <= a for a, b in zip(ladder, ladder[1:])) or not ladder:
         raise MalformedSpec("ladder must be strictly ascending")
     return ladder
@@ -128,8 +135,10 @@ def _parse_mass_intervals(text):
         return ()
     out = []
     for block in text.split(";"):
-        lo, hi = (float(v) for v in block.split(","))
-        out.append((lo, hi))
+        pair = [_number(v) for v in block.split(",")]
+        if len(pair) != 2:
+            raise MalformedSpec("--mass-intervals needs lo,hi pairs separated by ';'")
+        out.append(tuple(pair))
     return tuple(out)
 
 
@@ -196,10 +205,7 @@ def _cmd_solve(args):
     profile, potential = _load_inputs(args)
     bc = _parse_bc(args.bc)
     n = args.n or _grid_policy(args).n_for(profile, args.s)
-    if isinstance(bc, PeriodicBC):
-        op = assemble_periodic(profile, potential, args.s, n)
-    else:
-        op = assemble_transformed(profile, potential, bc, args.s, n)
+    op = assemble_transformed(profile, potential, bc, args.s, n)
     pair = principal_eigen(op)
     sys.stdout.write(_fmt(pair.lam) + "\n")
     if args.dump_eigenfunction:
@@ -213,17 +219,13 @@ def _cmd_solve(args):
 
 def _sweep_records(args, profile, potential, bc):
     ladder = _parse_ladder(args.ladder)
-    intervals = _parse_mass_intervals(getattr(args, "mass_intervals", ""))
-    workers = getattr(args, "workers", 1) or 1
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = lab.sweep(profile, potential, bc, ladder,
-                                grid_policy=_grid_policy(args),
-                                mass_intervals=intervals, map_fn=pool.map)
-    else:
+    intervals = _parse_mass_intervals(args.mass_intervals)
+    with (ThreadPoolExecutor(args.workers) if args.workers > 1
+          else contextlib.nullcontext()) as pool:
         records = lab.sweep(profile, potential, bc, ladder,
                             grid_policy=_grid_policy(args),
-                            mass_intervals=intervals)
+                            mass_intervals=intervals,
+                            map_fn=pool.map if pool else map)
     return records, intervals
 
 
@@ -386,9 +388,11 @@ def build_parser():
     return parser
 
 
+_PARSER = build_parser()     # built once: it is reused by every call of main
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except ValidationError as exc:

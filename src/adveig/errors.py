@@ -43,10 +43,10 @@ class NotC2(ValidationError):
 class SignMismatch(ValidationError):
     code = "SignMismatch"
 
-    def __init__(self, segment_index, declared, verified):
+    def __init__(self, segment, declared, verified):
         super().__init__(
-            f"segment {segment_index}: declared '{declared}' but derivative is '{verified}'")
-        self.segment_index = segment_index
+            f"segment {segment}: declared '{declared}' but derivative is '{verified}'")
+        self.segment = segment
         self.declared = declared
         self.verified = verified
 

@@ -22,13 +22,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import (DiscreteOperator, _build, assemble_periodic,
-                       assemble_transformed, eigenfunction_on_grid,
-                       principal_eigen)
+from .assembly import (DiscreteOperator, _build, assemble_transformed,
+                       eigenfunction_on_grid, principal_eigen)
 from .errors import (AdveigError, InsufficientData, IntervalOutOfDomain,
                      KStarUndefined, MassTooSmall, NoDecay, NonPositiveLambda,
                      NoOverlap, NumericalError, ValidationError)
-from .profile import PeriodicBC
 
 
 @dataclass(frozen=True)
@@ -80,13 +78,10 @@ class LimitProfile:
 
 def _solve_one(profile, c, bc, s, n, mass_intervals):
     t0 = time.perf_counter()
-    if isinstance(bc, PeriodicBC):
-        op = assemble_periodic(profile, c, s, n)
-    else:
-        op = assemble_transformed(profile, c, bc, s, n)
+    op = assemble_transformed(profile, c, bc, s, n)
     pair = principal_eigen(op)
     x, w = eigenfunction_on_grid(op, pair)
-    if op.kind == "periodic":
+    if op.matrix.corner is not None:
         # close the circle for interpolation and quadrature
         x = np.append(x, 1.0)
         w = np.append(w, w[0])
@@ -278,7 +273,7 @@ def limit_ode_ground_state(m_kstar: float, k_star: int, half_line: str = "none",
     else:
         a, b, g_left, g_right = 0.0, Y, 0.0, None
 
-    op = _build(a, b, n, V, (g_left, g_right), closure=f"limit ODE k*={k}")
+    op = _build(a, b, n, V, (g_left, g_right))
     pair = principal_eigen(op)
     x, vals = eigenfunction_on_grid(op, pair)
 

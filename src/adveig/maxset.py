@@ -98,7 +98,7 @@ def _zero_tol(profile):
 
 def _sloped(profile, x, position, tol):
     """m'(x) != 0 on some side of x that exists."""
-    return any(abs(profile.one_sided(x, 1, s)) > tol for s in _SIDES[position])
+    return any(abs(profile(x, 1, s)) > tol for s in _SIDES[position])
 
 
 def _kstar_at(profile: AdvectionProfile, x, position):
@@ -113,7 +113,7 @@ def _kstar_at(profile: AdvectionProfile, x, position):
     if _sloped(profile, x, position, tol):
         return None, None
     for k in range(2, DEGREE_CAP + 1):
-        vals = [profile.one_sided(x, k, s) for s in _SIDES[position]]
+        vals = [profile(x, k, s) for s in _SIDES[position]]
         if len(vals) == 2 and abs(vals[0] - vals[1]) > tol * max(1.0, abs(vals[0]), abs(vals[1])):
             return None, None   # genuine junction: higher derivatives disagree
         if abs(vals[0]) > tol:
@@ -157,7 +157,7 @@ def decompose_periodic(profile: AdvectionProfile) -> MaxSetDecomposition:
     would report at 1 is dropped; boundary plateau classes cannot occur
     and are rejected defensively.
     """
-    if profile.one_sided(0.0, 1, "right") <= 0:
+    if profile(0.0, 1, "right") <= 0:
         raise PreconditionViolated("periodic decomposition requires m'(0) > 0")
     decomp = decompose(profile)
     if decomp.boundary_segments():

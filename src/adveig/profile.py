@@ -8,6 +8,11 @@ structure that the asymptotic theory consumes is machine-checked rather
 than assumed.  Degree is capped at 8 and transcendental profiles are
 out of scope by design.
 
+Profiles and potentials share one structural check (_check_pieces) and
+one evaluator, PiecewisePoly.__call__(x, order, side): side picks the
+piece at an interior knot, so one-sided derivatives, the C^k glue check
+and the periodic wrap check all evaluate through the same Horner steps.
+
 Everything here is immutable after construction and safe to share.
 """
 
@@ -29,7 +34,24 @@ GLUE_TOL = 1e-12       # knot-matching tolerance, scaled by coefficient size
 _DOMAIN_SLACK = 1e-12
 
 SIGN_TAGS = {"increasing": 1, "decreasing": -1, "constant": 0}
-SIGN_NAMES = {1: "increasing", -1: "decreasing", 0: "constant"}
+
+
+def _check_pieces(knots, segments, what):
+    """Knots spanning [0, 1] in strictly ascending order and one
+    non-empty, finite segment of degree <= DEGREE_CAP per interval."""
+    if len(knots) < 2 or knots[0] != 0.0 or knots[-1] != 1.0:
+        raise MalformedSpec(f"{what} knots must span [0, 1]")
+    if any(b <= a for a, b in zip(knots, knots[1:])):
+        raise MalformedSpec(f"{what} knots must be strictly ascending")
+    if len(segments) != len(knots) - 1:
+        raise MalformedSpec(f"{what} needs one segment per interval")
+    for i, seg in enumerate(segments):
+        if len(seg) == 0:
+            raise MalformedSpec(f"{what} segment {i} has no coefficients")
+        if len(seg) - 1 > DEGREE_CAP:
+            raise MalformedSpec(f"{what} segment {i} exceeds degree cap {DEGREE_CAP}")
+        if not all(math.isfinite(c) for c in seg):
+            raise MalformedSpec(f"{what} segment {i} has non-finite coefficients")
 
 
 @dataclass(frozen=True)
@@ -47,22 +69,9 @@ class ProfileSpec:
         object.__setattr__(self, "declared_signs", tuple(self.declared_signs))
 
     def validate_structure(self):
-        k = self.knots
-        if len(k) < 2 or k[0] != 0.0 or k[-1] != 1.0:
-            raise MalformedSpec("knots must start at 0 and end at 1")
-        if any(b <= a for a, b in zip(k, k[1:])):
-            raise MalformedSpec("knots must be strictly ascending")
-        if len(self.segments) != len(k) - 1:
-            raise MalformedSpec("segment count must be knot count - 1")
+        _check_pieces(self.knots, self.segments, "profile")
         if len(self.declared_signs) != len(self.segments):
             raise MalformedSpec("one declared sign per segment required")
-        for i, seg in enumerate(self.segments):
-            if len(seg) == 0:
-                raise MalformedSpec(f"segment {i} has no coefficients")
-            if len(seg) - 1 > DEGREE_CAP:
-                raise MalformedSpec(f"segment {i} exceeds degree cap {DEGREE_CAP}")
-            if not all(math.isfinite(c) for c in seg):
-                raise MalformedSpec(f"segment {i} has non-finite coefficients")
         for i, tag in enumerate(self.declared_signs):
             if tag not in SIGN_TAGS:
                 raise MalformedSpec(f"segment {i}: unknown sign tag {tag!r}")
@@ -76,80 +85,63 @@ class PiecewisePoly:
         self.segments = [np.asarray(seg, dtype=float) for seg in segments]
         self.widths = np.diff(self.knots)
         width = max(len(s) for s in self.segments)
-        base = np.zeros((len(self.segments), width))
+        base = np.zeros((width, len(self.segments)))
         for i, seg in enumerate(self.segments):
-            base[i, :len(seg)] = seg
+            base[:len(seg), i] = seg
         # every derivative order, filled once: the object is shared
-        # read-only across threads; orders past the degree are zero
+        # read-only across threads; orders past the degree are zero.
+        # Row k of a table holds every segment's t^k coefficient, so
+        # each Horner step gathers from one contiguous row.
         cache = [base]
         for k in range(width - 1, 0, -1):
-            cache.append(cache[-1][:, 1:] * np.arange(1, k + 1))
-        cache.append(np.zeros((len(self.segments), 1)))
+            cache.append(cache[-1][1:] * np.arange(1, k + 1)[:, None])
+        cache.append(np.zeros((1, len(self.segments))))
         self._coef_cache = tuple(cache)
 
-    def _coefs(self, order):
-        return self._coef_cache[min(order, len(self._coef_cache) - 1)]
-
-    def __call__(self, x, order=0):
+    def __call__(self, x, order=0, side="right"):
         """Evaluate the order-th derivative at x (scalar or array).
 
-        At an interior knot the right-hand segment is used; for a
-        validated profile the two sides agree to GLUE_TOL for order <= 2.
+        At an interior knot side="right" uses the right-hand segment and
+        side="left" the left-hand one; for a validated profile the two
+        agree to GLUE_TOL for order <= 2.
         """
         x_arr = np.asarray(x, dtype=float)
         scalar = x_arr.ndim == 0
         x_arr = np.atleast_1d(x_arr)
         lo, hi = self.knots[0], self.knots[-1]
         x_min, x_max = x_arr.min(initial=lo), x_arr.max(initial=hi)
-        if x_min < lo - _DOMAIN_SLACK or x_max > hi + _DOMAIN_SLACK:
-            raise OutOfDomain(f"evaluation outside [{lo}, {hi}]")
         if x_min < lo or x_max > hi:
+            if x_min < lo - _DOMAIN_SLACK or x_max > hi + _DOMAIN_SLACK:
+                raise OutOfDomain(f"evaluation outside [{lo}, {hi}]")
             x_arr = np.clip(x_arr, lo, hi)
-        idx = np.searchsorted(self.knots[1:-1], x_arr, side="right")
+        idx = np.searchsorted(self.knots[1:-1], x_arr, side=side)
         t = x_arr - self.knots[idx]
-        coefs = self._coefs(order)
-        acc = coefs[idx, -1]
-        for k in range(coefs.shape[1] - 2, -1, -1):
+        coefs = self._coef_cache[min(order, len(self._coef_cache) - 1)]
+        acc = coefs[-1][idx]
+        for row in coefs[-2::-1]:
             acc *= t
-            acc += coefs[idx, k]
+            acc += row[idx]
         return float(acc[0]) if scalar else acc
 
-    def one_sided(self, x, order, side):
-        """Derivative at x using only the segment on the given side."""
-        x = float(x)
-        if side == "right":
-            i = int(np.clip(np.searchsorted(self.knots, x, side="right") - 1,
-                            0, len(self.segments) - 1))
-        elif side == "left":
-            i = int(np.clip(np.searchsorted(self.knots, x, side="left") - 1,
-                            0, len(self.segments) - 1))
-        else:
-            raise ValueError("side must be 'left' or 'right'")
-        c = self._coefs(order)[i]
-        t = x - self.knots[i]
-        acc = 0.0
-        for k in range(len(c) - 1, -1, -1):
-            acc = acc * t + c[k]
-        return acc
-
-    def segment_index(self, x, side="right"):
-        fn = np.searchsorted(self.knots, x, side=side) - 1
-        return int(np.clip(fn, 0, len(self.segments) - 1))
-
     def check_continuity(self, up_to_order):
+        """Raise NotC2 for the first interior knot, and there the lowest
+        order, at which the two one-sided derivatives differ."""
         # tolerance scales with the local coefficient magnitude: double
         # rounding of O(scale) coefficients already produces O(scale*eps)
         # mismatches, so a bare 1e-12 would reject exact-arithmetic-C2
         # specs (e.g. steep quintic ramps)
-        for j in range(1, len(self.knots) - 1):
-            scale = max(1.0,
-                        max(abs(c) for c in self.segments[j - 1]),
-                        max(abs(c) for c in self.segments[j]))
-            for order in range(up_to_order + 1):
-                left = self.one_sided(self.knots[j], order, "left")
-                right = self.one_sided(self.knots[j], order, "right")
-                if abs(left - right) > GLUE_TOL * scale:
-                    raise NotC2(self.knots[j], order, abs(left - right))
+        inner = self.knots[1:-1]
+        if inner.size == 0:
+            return
+        size = np.array([np.abs(seg).max() for seg in self.segments])
+        tol = GLUE_TOL * np.maximum(1.0, np.maximum(size[:-1], size[1:]))
+        jumps = np.array([np.abs(self(inner, k, "left") - self(inner, k, "right"))
+                          for k in range(up_to_order + 1)])
+        bad = jumps > tol
+        if bad.any():
+            j = int(bad.any(axis=0).argmax())
+            k = int(bad[:, j].argmax())
+            raise NotC2(inner[j], k, jumps[k, j])
 
     def range_values(self):
         vals = []
@@ -176,14 +168,8 @@ class AdvectionProfile:
     def knots(self):
         return self._poly.knots
 
-    def __call__(self, x, order=0):
-        return self._poly(x, order)
-
-    def one_sided(self, x, order, side):
-        return self._poly.one_sided(x, order, side)
-
-    def segment_index(self, x, side="right"):
-        return self._poly.segment_index(x, side)
+    def __call__(self, x, order=0, side="right"):
+        return self._poly(x, order, side)
 
     def coefficient_scale(self):
         return max(max(abs(c) for c in seg) for seg in self.spec.segments)
@@ -201,17 +187,7 @@ class Potential:
     def from_segments(knots, segments):
         knots = tuple(float(k) for k in knots)
         segments = tuple(tuple(float(c) for c in s) for s in segments)
-        if len(knots) < 2 or knots[0] != 0.0 or knots[-1] != 1.0:
-            raise MalformedSpec("potential knots must span [0, 1]")
-        if any(b <= a for a, b in zip(knots, knots[1:])):
-            raise MalformedSpec("potential knots must be strictly ascending")
-        if len(segments) != len(knots) - 1:
-            raise MalformedSpec("potential needs one segment per interval")
-        for i, seg in enumerate(segments):
-            if len(seg) == 0 or len(seg) - 1 > DEGREE_CAP:
-                raise MalformedSpec(f"potential segment {i} malformed")
-            if not all(math.isfinite(c) for c in seg):
-                raise MalformedSpec(f"potential segment {i} non-finite")
+        _check_pieces(knots, segments, "potential")
         pp = PiecewisePoly(knots, segments)
         pp.check_continuity(0)
         return Potential(knots, segments, pp, pp.range_values())
@@ -229,8 +205,8 @@ class Potential:
         """Single global polynomial c(x) = c0 + c1 x + ..."""
         return Potential.from_segments((0.0, 1.0), (tuple(coeffs),))
 
-    def __call__(self, x, order=0):
-        return self._poly(x, order)
+    def __call__(self, x, order=0, side="right"):
+        return self._poly(x, order, side)
 
 
 # -- boundary conditions -------------------------------------------------
@@ -269,17 +245,14 @@ class PeriodicBC:
     def validate(self, profile, potential):
         tol = GLUE_TOL * max(1.0, profile.coefficient_scale())
         for order in range(3):
-            a = profile.one_sided(0.0, order, "right")
-            b = profile.one_sided(1.0, order, "left")
+            a = profile(0.0, order, "right")
+            b = profile(1.0, order, "left")
             if abs(a - b) > tol:
                 raise NotPeriodic(
                     f"m^({order}) wrap mismatch {abs(a - b):.3e} at 0/1")
         if potential is not None:
             if abs(potential(0.0) - potential(1.0)) > GLUE_TOL:
                 raise NotPeriodic("c(0) != c(1)")
-
-
-BoundarySpec = (RobinBC, PeriodicBC)
 
 
 # -- construction ---------------------------------------------------------
@@ -514,10 +487,6 @@ def spec_to_dict(spec: ProfileSpec) -> dict:
     }
 
 
-def potential_to_dict(pot: Potential) -> dict:
-    return {"knots": list(pot.knots), "segments": [list(s) for s in pot.segments]}
-
-
 def profile_from_dict(data: dict):
     """Parse the profile JSON schema; returns (ProfileSpec, Potential | None).
 
@@ -530,31 +499,39 @@ def profile_from_dict(data: dict):
         tmpl = data["template"]
         try:
             spec = builtin(tmpl["name"], *tmpl.get("params", []))
-        except (KeyError, TypeError):
+        except (KeyError, TypeError, ValueError):
             raise MalformedSpec("template block needs 'name' and 'params'") from None
     else:
         try:
             segments = tuple(tuple(seg["coeffs"]) for seg in data["segments"])
             signs = tuple(seg["sign"] for seg in data["segments"])
             spec = ProfileSpec(tuple(data["knots"]), segments, signs)
-        except (KeyError, TypeError):
+        except (KeyError, TypeError, ValueError):
             raise MalformedSpec("profile document needs 'knots' and 'segments' "
                                 "with 'coeffs' and 'sign'") from None
     potential = None
     if data.get("potential") is not None:
-        pot = data["potential"]
-        try:
-            potential = Potential.from_segments(tuple(pot["knots"]),
-                                                tuple(tuple(s) for s in pot["segments"]))
-        except (KeyError, TypeError):
-            raise MalformedSpec("potential block needs 'knots' and 'segments'") from None
+        potential = potential_from_dict(data["potential"])
     return spec, potential
 
 
-def load_profile_json(path):
+def potential_from_dict(block):
+    """Parse a potential block {"knots": [...], "segments": [[c0, ...], ...]}."""
+    try:
+        return Potential.from_segments(tuple(block["knots"]),
+                                       tuple(tuple(s) for s in block["segments"]))
+    except (KeyError, TypeError, ValueError):
+        raise MalformedSpec("potential block needs 'knots' and 'segments' "
+                            "of numbers") from None
+
+
+def read_json(path):
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise MalformedSpec(f"cannot read profile JSON: {exc}") from None
-    return profile_from_dict(data)
+        raise MalformedSpec(f"cannot read JSON: {exc}") from None
+
+
+def load_profile_json(path):
+    return profile_from_dict(read_json(path))

@@ -244,13 +244,6 @@ def smallest_eig(T: SymTridiag, tol_lambda: float = DEFAULT_TOL_LAMBDA) -> Eigen
     entrywise positive for matrices with nonpositive offdiagonals."""
     if tol_lambda <= 0:
         raise ValueError("tol_lambda must be positive")
-    if T.corner is None or T.n == 1:
-        if T.corner is not None and T.n == 1:
-            return EigenPair(float(T.diag[0] + 2 * T.corner), np.array([1.0]), 0.0)
+    if T.corner is None or T.n == 1:   # a 1x1 matrix has no corner entry
         return _smallest_eig_lapack(T, tol_lambda)
-    if T.n == 2:
-        # corner doubles the coupling; fall back to a dense 2x2 solve
-        a = T.dense()
-        w, v = np.linalg.eigh(a)
-        return EigenPair(float(w[0]), _fix_sign(v[:, 0]), 0.0)
     return _smallest_eig_cyclic(T, tol_lambda)

@@ -86,6 +86,32 @@ def test_malformed_profile_file_exit_2(tmp_path, capsys):
     assert err.startswith("MalformedSpec:")
 
 
+def test_malformed_numbers_exit_2(tmp_path, capsys):
+    no_knots = tmp_path / "no_knots.json"
+    no_knots.write_text(json.dumps({"segments": [[1.0]]}))
+    not_json = tmp_path / "not_json.json"
+    not_json.write_text("{not json")
+    bad_knot = tmp_path / "bad_knot.json"
+    bad_knot.write_text(json.dumps({"knots": ["x", 1.0], "segments": [
+        {"coeffs": [0.0, 1.0], "sign": "increasing"}]}))
+    vee = ("--template", "vee:0.5")
+    predict = ("predict", *vee, "--bc", "robin:1,0,1,0")
+    sweep = ("sweep", *vee, "--c", "zero", "--bc", "robin:1,0,1,0")
+    cases = [
+        ("classify", "--template", "t1:a"),
+        ("predict", *vee, "--c", "zero", "--bc", "robin:1,x,1,0"),
+        (*sweep, "--ladder", "10,abc"),
+        (*sweep, "--ladder", "10,20", "--mass-intervals", "0.1"),
+        (*predict, "--c", "poly:1,z"),
+        (*predict, "--c", str(no_knots)),
+        (*predict, "--c", str(not_json)),
+        ("classify", "--profile", str(bad_knot)),
+    ]
+    for argv in cases:
+        code, _, err = run_cli(capsys, *argv)
+        assert (code, err.split(":")[0]) == (2, "MalformedSpec"), argv
+
+
 def test_validation_error_exit_2(capsys):
     code, _, err = run_cli(capsys, "predict", "--template", "vee:0.5",
                            "--c", "zero", "--bc", "robin:0,0,1,0")

@@ -39,6 +39,17 @@ def test_value_jump_reported_as_order_zero():
     assert err.value.order == 0
 
 
+def test_first_failing_knot_and_its_lowest_order_reported():
+    # 0.25: m' and m'' jump; 0.5: m, m' and m'' jump
+    spec = ProfileSpec((0.0, 0.25, 0.5, 1.0),
+                       ((0.0, 1.0), (0.25, 2.0, 3.0), (0.0, 1.0)),
+                       ("increasing",) * 3)
+    with pytest.raises(NotC2) as err:
+        build_profile(spec)
+    assert (err.value.knot, err.value.order) == (0.25, 1)
+    assert err.value.mismatch == pytest.approx(1.0)
+
+
 def test_t1_sign_signature():
     prof = build_profile(builtin("t1", 0.15, 0.3, 0.45, 0.6, 0.8))
     assert prof.sign_signature == (1, -1, 1, 0, -1, 1)
@@ -83,8 +94,8 @@ def test_eval_basics():
     assert plateau(0.32, 2) == 0.0
     # two-sided match at the knot for orders <= 2
     for order in range(3):
-        left = prof.one_sided(0.5, order, "left")
-        right = prof.one_sided(0.5, order, "right")
+        left = prof(0.5, order, "left")
+        right = prof(0.5, order, "right")
         assert abs(left - right) <= 1e-12
     with pytest.raises(OutOfDomain):
         prof(1.2)
