@@ -167,7 +167,9 @@ def _prediction_payload(pred):
         "verdict": "finite",
         "value": pred.value,
         "terms": [{"source": _serialize_source(t), "kind": t.kind,
-                   "value": t.value} for t in pred.terms],
+                   "value": t.value, "error_estimate": t.error_estimate,
+                   "interval": None if t.interval is None else list(t.interval)}
+                  for t in pred.terms],
         "argmin": list(pred.argmin),
     }
 

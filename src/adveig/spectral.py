@@ -1,18 +1,28 @@
-"""Smallest-eigenpair solvers for symmetric (cyclic-)tridiagonal matrices.
+"""Principal (smallest) eigenpair of a symmetric tridiagonal matrix,
+optionally with a cyclic corner coupling entries 1 and n.
 
-Every eigenvalue is certified with two LAPACK-speed facts (Parlett, The
-Symmetric Eigenvalue Problem): a banded Cholesky of T - sigma I succeeds
-exactly when sigma lies below the smallest eigenvalue (Sylvester
-inertia), and any Rayleigh quotient is at least the smallest eigenvalue.
+One shift-and-certify loop serves both kinds, built on two facts
+(Parlett, The Symmetric Eigenvalue Problem): a banded Cholesky of
+T - sigma I succeeds exactly when sigma lies below the smallest
+eigenvalue (Sylvester inertia), and every Rayleigh quotient lies at or
+above it.  A cyclic corner enters as a rank-one Sherman-Morrison term,
+solved as a second right-hand side of the same factorization; a
+non-cyclic matrix is the case without it.
 
-The non-cyclic path is LAPACK's bisection + inverse iteration
-(stebz/stein via scipy.linalg.eigh_tridiagonal).  One inverse-iteration
-step by Cholesky of T - (lam - delta) I then certifies lam - delta from
-below, and its Rayleigh quotient, at most lam + delta, from above.
-Cyclic matrices have no LAPACK route: there the Cholesky test, extended
-to the corner coupling by a rank-one (Sherman-Morrison) term, drives a
-bisection over the Gershgorin window, followed by inverse iteration at
-the certified shift with Rayleigh-quotient refinement.
+The bracket [lo, hi] starts as the Gershgorin window, the vector as the
+constant one and the shift just below the window.  A Cholesky that
+succeeds raises lo to sigma and takes one inverse-iteration step, whose
+Rayleigh quotient lowers hi; one that fails lowers hi to sigma.  The
+next shift lies just below the smaller of the Rayleigh quotient and the
+Collatz-Wielandt estimate min_i (Tv)_i / v_i when that is inside the
+bracket; otherwise it bisects the bracket.  For nonpositive
+offdiagonals the estimate is a lower bound and the loop is Noda's
+iteration, which converges superlinearly.  Once the bracket is 2 delta
+wide, inverse iteration continues at the certified shift until the
+Rayleigh quotient stalls, and the residual is checked.  Iterating from
+a positive vector, such matrices get an entrywise positive,
+deterministic principal vector, also when their smallest eigenvalues
+form a numerically degenerate cluster.
 """
 
 from __future__ import annotations
@@ -21,12 +31,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, solveh_banded
+from scipy.linalg import solveh_banded
 
 from .errors import NoConvergence, NonFinite
 
 RESIDUAL_TOL = 1e-8
 DEFAULT_TOL_LAMBDA = 1e-10
+MAX_STEPS = 100   # Cholesky factorizations per eigenpair; ~50 bisections close any bracket
 
 
 @dataclass(frozen=True)
@@ -100,10 +111,6 @@ class EigenPair:
     residual: float           # ||T v - lam v||_2 / ||T||_inf
 
 
-def _residual(T, lam, v):
-    return float(np.linalg.norm(T.matvec(v) - lam * v) / max(T.inf_norm(), 1e-300))
-
-
 def _fix_sign(v):
     i = int(np.argmax(np.abs(v)))
     return v if v[i] > 0 else -v
@@ -150,92 +157,20 @@ def _rank_one_split(T):
     return d, beta, u
 
 
-def _cyclic_definite_below(T, split, sigma):
-    """(B - sigma I)^{-1} u when C - sigma I is positive definite, else
-    None.  Since beta < 0, that holds iff the Cholesky of B - sigma I
-    succeeds and 1 + beta u^T (B - sigma I)^{-1} u > 0."""
+def _cyclic_definite_below(T, split, sigma, v=None):
+    """(C - sigma I)^{-1} v, with v = u by default, when C - sigma I is
+    positive definite, else None.  Since beta < 0, that holds iff the
+    Cholesky of B - sigma I succeeds and 1 + beta u^T (B - sigma I)^{-1} u
+    > 0; v and u are the two right-hand sides of that one factorization,
+    combined by Sherman-Morrison."""
     d, beta, u = split
-    z = _cholesky_solve(d, T.offdiag, sigma, u)
-    return z if z is not None and 1.0 + beta * (u @ z) > 0.0 else None
-
-
-def _smallest_eig_lapack(T: SymTridiag, tol_lambda: float,
-                         max_iterations: int = 6) -> EigenPair:
-    if T.n == 1:
-        return EigenPair(float(T.diag[0]), np.array([1.0]), 0.0)
-    try:
-        w, v = eigh_tridiagonal(T.diag, T.offdiag, select="i", select_range=(0, 0),
-                                tol=tol_lambda, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(1, f"LAPACK stebz/stein: {exc}") from exc
-    lam = float(w[0])
-    vec = _fix_sign(v[:, 0].copy())
-    if not np.isfinite(lam) or not np.all(np.isfinite(vec)):
-        raise NonFinite("eigensolve produced non-finite values")
-    # inverse iteration from just below lam: the first Cholesky is the
-    # lower certificate, and the steps regenerate entries that inverse
-    # iteration inside LAPACK flushed to zero
-    delta = _delta(T, tol_lambda)
-    sigma = lam - delta
-    seed = np.maximum(vec, 0.0)
-    vec = seed if np.any(seed > 0) else np.ones(T.n)
-    for _ in range(max_iterations):
-        vec = _cholesky_solve(T.diag, T.offdiag, sigma, vec)
-        if vec is None:
-            raise NoConvergence(1, "Cholesky of T - (lam - delta) I failed: "
-                                   "lam is above the smallest eigenvalue")
-        norm = np.linalg.norm(vec)
-        if not np.isfinite(norm) or norm == 0.0:
-            raise NonFinite("inverse iteration produced non-finite vector")
-        vec /= norm
-        rq = float(vec @ T.matvec(vec))
-        res = _residual(T, rq, vec)
-        if res <= RESIDUAL_TOL:
-            break
-    else:
-        raise NoConvergence(max_iterations, f"residual {res:.2e}")
-    # upper certificate: the Rayleigh quotient bounds the smallest
-    # eigenvalue from above
-    if rq > lam + delta:
-        raise NoConvergence(1, f"Rayleigh quotient {rq!r} above lam + delta "
-                               f"= {lam + delta!r}")
-    return EigenPair(rq, _fix_sign(vec), res)
-
-
-def _smallest_eig_cyclic(T: SymTridiag, tol_lambda: float,
-                         max_iterations: int = 60) -> EigenPair:
-    # bracket the smallest eigenvalue by bisection on the Cholesky test,
-    # starting from the Gershgorin window
-    split = _rank_one_split(T)
-    lo, hi = T.gershgorin()
-    delta = _delta(T, tol_lambda)
-    while hi - lo > delta:
-        mid = 0.5 * (lo + hi)
-        if _cyclic_definite_below(T, split, mid) is None:
-            hi = mid
-        else:
-            lo = mid
-    sigma = lo - delta                # certified just below the eigenvalue
-    z = _cyclic_definite_below(T, split, sigma)
-    if z is None:
-        raise NoConvergence(1, "Cholesky test failed below the certified bracket")
-    d, beta, u = split
-    gain = beta / (1.0 + beta * (u @ z))
-    v = np.ones(T.n) / math.sqrt(T.n)
-    for _ in range(max_iterations):
-        # Sherman-Morrison: (C - sigma I)^{-1} v from B - sigma I, whose
-        # Cholesky succeeded for z
-        y = _cholesky_solve(d, T.offdiag, sigma, v)
-        w = y - z * (gain * (u @ y))
-        norm = np.linalg.norm(w)
-        if not np.isfinite(norm) or norm == 0.0:
-            raise NonFinite("inverse iteration produced non-finite vector")
-        v = w / norm
-        lam = float(v @ T.matvec(v))   # Rayleigh-quotient refinement
-        res = _residual(T, lam, v)
-        if res <= RESIDUAL_TOL:
-            return EigenPair(lam, _fix_sign(v), res)
-    raise NoConvergence(max_iterations, "cyclic inverse iteration")
+    yz = _cholesky_solve(d, T.offdiag, sigma,
+                         np.column_stack((u if v is None else v, u)))
+    if yz is None:
+        return None
+    y, z = yz.T
+    denom = 1.0 + beta * (u @ z)
+    return y - z * (beta * (u @ y) / denom) if denom > 0.0 else None
 
 
 def smallest_eig(T: SymTridiag, tol_lambda: float = DEFAULT_TOL_LAMBDA) -> EigenPair:
@@ -244,6 +179,41 @@ def smallest_eig(T: SymTridiag, tol_lambda: float = DEFAULT_TOL_LAMBDA) -> Eigen
     entrywise positive for matrices with nonpositive offdiagonals."""
     if tol_lambda <= 0:
         raise ValueError("tol_lambda must be positive")
-    if T.corner is None or T.n == 1:   # a 1x1 matrix has no corner entry
-        return _smallest_eig_lapack(T, tol_lambda)
-    return _smallest_eig_cyclic(T, tol_lambda)
+    if T.n == 1:                       # a 1x1 matrix has no corner entry
+        return EigenPair(float(T.diag[0]), np.array([1.0]), 0.0)
+    split = None if T.corner is None else _rank_one_split(T)
+    delta = _delta(T, tol_lambda)
+    lo, hi = T.gershgorin()
+    lo -= delta                        # T - lo I is strictly diagonally dominant
+    sigma = lo
+    v = np.full(T.n, 1.0 / math.sqrt(T.n))
+    last = prev = rq = cw = math.inf
+    for _ in range(MAX_STEPS):
+        if split is None:
+            w = _cholesky_solve(T.diag, T.offdiag, sigma, v)
+        else:
+            w = _cyclic_definite_below(T, split, sigma, v)
+        if w is None:
+            hi = sigma
+        else:
+            lo = sigma
+            norm = np.linalg.norm(w)
+            if not np.isfinite(norm) or norm == 0.0:
+                raise NonFinite("inverse iteration produced non-finite vector")
+            # Collatz-Wielandt estimate: (Tw)_i / w_i = sigma + v_i / w_i
+            cw = sigma + float((v / w).min()) if np.all(w > 0) else math.inf
+            v = w / norm
+            Tv = T.matvec(v)
+            rq = float(v @ Tv)
+            hi = min(hi, rq)
+            if hi - lo <= 2 * delta and sigma == last and prev - rq <= tol_lambda:
+                res = float(np.linalg.norm(Tv - rq * v) / max(T.inf_norm(), 1e-300))
+                if res <= RESIDUAL_TOL:
+                    return EigenPair(rq, _fix_sign(v), res)
+            last, prev = sigma, rq
+        if hi - lo > 2 * delta:
+            guess = min(rq, cw) - delta
+            sigma = guess if lo < guess < hi else 0.5 * (lo + hi)
+        else:
+            sigma = lo                 # certified: iterate until rq stalls
+    raise NoConvergence(MAX_STEPS, f"bracket [{lo!r}, {hi!r}]")

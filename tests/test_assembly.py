@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from adveig.assembly import (SubBC, assemble_periodic, assemble_subinterval,
                              assemble_transformed, eigenfunction_on_grid,
                              principal_eigen)
 from adveig.errors import GridTooCoarse, NotPeriodic, ValidationError
-from adveig.lab import DEFAULT_POLICY
+from adveig.lab import DEFAULT_POLICY, mass_distribution
 from adveig.profile import (Potential, RobinBC, TEMPLATES, build_profile,
                             builtin)
 
@@ -134,6 +135,17 @@ def test_constant_potential_is_the_eigenvalue(s):
         assert abs(principal_eigen(op).lam - 2.5) <= margin, (name, s)
 
 
+def test_large_s_eigenvalue_is_a_converged_rayleigh_quotient():
+    """t1 at s = 1e4 on the default grid (n = 1e6) has a certificate
+    margin of 0.063, so a closed bracket alone is not an answer; the
+    Rayleigh quotient must match LAPACK's stebz/stein value 2.00019763."""
+    prof = build_profile(builtin("t1", *T1))
+    c = Potential.from_coeffs([2.9, -12.0, 40.0])
+    s = 1e4
+    op = assemble_transformed(prof, c, RobinBC.neumann(), s, DEFAULT_POLICY.n_for(prof, s))
+    assert abs(principal_eigen(op).lam - 2.00019763) <= 1e-5
+
+
 def test_eigenvalue_independent_of_knot_positions():
     # n = 29999..30003 moves every C^2 ramp junction across a cell
     prof = build_profile(builtin("t1", *T1))
@@ -174,6 +186,28 @@ def test_principal_eigen_normalization_and_positivity():
     assert np.all(pair.vector > 0)
     x, w = eigenfunction_on_grid(op, pair)
     assert np.trapezoid(w ** 2, x) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_degenerate_cluster_gives_one_positive_vector():
+    """example1 with c = 0 under Neumann data has three eigenvalues within
+    1e-8 of each other.  The principal vector is still positive and the
+    same on every call, and its mass near the middle plateau moves
+    smoothly along the ladder instead of jumping between cluster members."""
+    prof = build_profile(builtin("example1", 0.15, 0.4, 0.6, 0.85))
+    masses = []
+    for s in (100.0, 200.0, 400.0):
+        op = assemble_transformed(prof, C0, RobinBC.neumann(), s,
+                                  DEFAULT_POLICY.n_for(prof, s))
+        cluster = eigh_tridiagonal(op.matrix.diag, op.matrix.offdiag,
+                                   select="i", select_range=(0, 2),
+                                   eigvals_only=True)
+        assert cluster[2] - cluster[0] <= 1e-8
+        pair = principal_eigen(op)
+        assert np.all(pair.vector > 0)
+        assert np.array_equal(principal_eigen(op).vector, pair.vector)
+        x, w = eigenfunction_on_grid(op, pair)
+        masses.append(mass_distribution(x, w, [(0.45, 0.55)])[0])
+    assert all(abs(b - a) < 0.1 for a, b in zip(masses, masses[1:]))
 
 
 def test_dirichlet_eigenfunction_matches_sine():

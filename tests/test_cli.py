@@ -66,6 +66,13 @@ def test_predict_t1_json(capsys):
     assert len(doc["terms"]) == 3
     kinds = sorted(t["kind"] for t in doc["terms"])
     assert kinds == ["NN", "c_at_point", "c_at_point"]
+    for term in doc["terms"]:
+        assert list(term)[:3] == ["source", "kind", "value"]
+        if term["kind"] == "NN":
+            assert term["interval"] == [0.45, 0.6]
+            assert 0.0 <= term["error_estimate"] < 1e-3
+        else:
+            assert term["interval"] is None and term["error_estimate"] == 0.0
 
 
 def test_classify_json_schema(capsys):

@@ -127,23 +127,55 @@ def test_cyclic_definiteness_test_matches_dense_inertia(rng):
             assert (z is not None) == (sigma < lam_min)
 
 
-@pytest.mark.parametrize("offset, certificate", [(1e-3, "Cholesky"),
-                                                  (-1e-3, "Rayleigh quotient")])
-def test_each_certificate_rejects_a_wrong_lapack_eigenvalue(monkeypatch, offset,
-                                                            certificate):
-    """A LAPACK answer off by 1e-3 is refused: too high by the Cholesky
-    (lower) certificate, too low by the Rayleigh-quotient (upper) one."""
+def _random_matrix(rng, kind, cyclic):
+    n = int(rng.integers(2, 40))
+    if kind == "m_matrix":
+        diag, offdiag = rng.uniform(1, 5, size=n), -rng.uniform(0.1, 2.0, size=n - 1)
+        corner = -float(rng.uniform(0.1, 2.0))
+    else:
+        diag, offdiag = rng.normal(size=n) * 5, rng.normal(size=n - 1) * 3
+        corner = float(rng.normal() * 2)
+    return SymTridiag(diag, offdiag, corner=corner if cyclic else None)
+
+
+@pytest.mark.parametrize("cyclic", [False, True])
+@pytest.mark.parametrize("kind", ["m_matrix", "random_sign"])
+def test_both_certificates_hold_for_the_returned_eigenvalue(rng, kind, cyclic):
+    """The Cholesky test succeeds at lam - delta (lower certificate), and
+    lam is at most delta above the dense smallest eigenvalue (upper
+    certificate), up to the rounding n eps ||T|| of a Rayleigh quotient."""
+    for _ in range(40):
+        T = _random_matrix(rng, kind, cyclic)
+        lam = smallest_eig(T).lam
+        delta = spectral._delta(T, spectral.DEFAULT_TOL_LAMBDA)
+        if cyclic:
+            below = spectral._cyclic_definite_below(T, spectral._rank_one_split(T),
+                                                    lam - delta)
+        else:
+            below = spectral._cholesky_solve(T.diag, T.offdiag, lam - delta,
+                                             np.ones(T.n))
+        assert below is not None
+        lam_min = float(np.linalg.eigvalsh(T.dense())[0])
+        rounding = T.n * np.finfo(float).eps * T.inf_norm()
+        assert lam_min - rounding <= lam <= lam_min + delta
+
+
+@pytest.mark.parametrize("corner", [None, -33.0**2])
+def test_no_convergence_when_cholesky_never_succeeds(monkeypatch, corner):
+    """Without a certified shift there is no eigenvalue: the loop stops
+    at its step cap with NoConvergence."""
     h = 1.0 / 33
-    T = SymTridiag(np.full(32, 2 / h**2), np.full(31, -1 / h**2))
-    real = spectral.eigh_tridiagonal
+    T = SymTridiag(np.full(32, 2 / h**2), np.full(31, -1 / h**2), corner=corner)
+    shifts = []
 
-    def off(*args, **kwargs):
-        w, v = real(*args, **kwargs)
-        return w + offset, v
+    def never(diag, offdiag, sigma, rhs):
+        shifts.append(sigma)
+        return None
 
-    monkeypatch.setattr(spectral, "eigh_tridiagonal", off)
-    with pytest.raises(NoConvergence, match=certificate):
+    monkeypatch.setattr(spectral, "_cholesky_solve", never)
+    with pytest.raises(NoConvergence):
         smallest_eig(T)
+    assert len(shifts) == spectral.MAX_STEPS
 
 
 def test_positivity_for_negative_offdiagonals(rng):
