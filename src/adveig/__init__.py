@@ -15,7 +15,7 @@ from .maxset import (Boundedness, IsolatedMax, MaxSetDecomposition, SegmentMax,
                      boundedness, decompose, decompose_periodic,
                      degeneracy_order)
 from .predictor import (LimitPrediction, LimitTerm, frak_L, periodic_prediction,
-                        predict_limit, predict_limit_periodic)
+                        predict_limit)
 from .profile import (AdvectionProfile, PeriodicBC, Potential, ProfileSpec,
                       RobinBC, TEMPLATES, build_profile, builtin,
                       load_profile_json, profile_from_dict)
@@ -34,7 +34,7 @@ __all__ = [
     "decompose_periodic", "degeneracy_order", "eigenfunction_on_grid",
     "estimate_limit", "frak_L", "growth_exponent", "limit_ode_ground_state",
     "load_profile_json", "mass_distribution", "periodic_prediction",
-    "predict_limit", "predict_limit_periodic", "principal_eigen",
-    "profile_distance", "profile_from_dict", "rescaled_profile",
-    "segment_restriction_distance", "smallest_eig", "sweep",
+    "predict_limit", "principal_eigen", "profile_distance",
+    "profile_from_dict", "rescaled_profile", "segment_restriction_distance",
+    "smallest_eig", "sweep",
 ]

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import GridTooCoarse, ValidationError
 from .profile import AdvectionProfile, PeriodicBC, Potential, RobinBC
-from .spectral import DEFAULT_TOL_LAMBDA, EigenPair, SymTridiag, smallest_eig
+from .spectral import EigenPair, SymTridiag, smallest_eig
 
 _SQRT2 = math.sqrt(2.0)
 _MAX_DRIFT = 0.5
@@ -209,15 +209,14 @@ def assemble_periodic(profile: AdvectionProfile, c: Potential,
     return assemble_transformed(profile, c, PeriodicBC(), s, n)
 
 
-def principal_eigen(op: DiscreteOperator,
-                    tol_lambda: float = DEFAULT_TOL_LAMBDA) -> EigenPair:
+def principal_eigen(op: DiscreteOperator) -> EigenPair:
     """Principal eigenpair of an assembled operator.
 
     The returned vector holds the eigenfunction values at the kept grid
     nodes (boundary sqrt(2) symmetrization undone), normalized so the
     trapezoid-rule integral of w^2 over the full grid equals 1.
     """
-    pair = smallest_eig(op.matrix, tol_lambda)
+    pair = smallest_eig(op.matrix)
     w = pair.vector.copy()
     w[0] *= op.scales[0]
     w[-1] *= op.scales[1]

@@ -11,12 +11,11 @@ error, 3 numerical failure; errors go to stderr as "Code: message".
 from __future__ import annotations
 
 import argparse
-import contextlib
+import dataclasses
 import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -45,8 +44,8 @@ def _round12(obj):
     return obj
 
 
-def _emit_json(payload, stream=None):
-    (stream or sys.stdout).write(json.dumps(_round12(payload), indent=2) + "\n")
+def _emit_json(payload):
+    sys.stdout.write(json.dumps(_round12(payload), indent=2) + "\n")
 
 
 # -- argument parsing ----------------------------------------------------
@@ -66,9 +65,9 @@ def _parse_template_arg(text):
 def _load_inputs(args):
     """(profile, potential) from --template/--profile plus --c."""
     potential = None
-    if getattr(args, "template", None):
+    if args.template:
         spec = _parse_template_arg(args.template)
-    elif getattr(args, "profile", None):
+    elif args.profile:
         spec, potential = load_profile_json(args.profile)
     else:
         raise MalformedSpec("need --template NAME[:p1,p2,...] or --profile FILE")
@@ -143,13 +142,10 @@ def _parse_mass_intervals(text):
 
 
 def _grid_policy(args):
-    policy = lab.DEFAULT_POLICY
-    if getattr(args, "grid_multiplier", None) is not None:
-        policy = lab.GridPolicy(multiplier=args.grid_multiplier,
-                                floor=getattr(args, "grid_floor", None) or 2000)
-    elif getattr(args, "grid_floor", None) is not None:
-        policy = lab.GridPolicy(floor=args.grid_floor)
-    return policy
+    """DEFAULT_POLICY with the --grid-* flags that were given."""
+    given = {"multiplier": args.grid_multiplier, "floor": args.grid_floor}
+    return dataclasses.replace(
+        lab.DEFAULT_POLICY, **{k: v for k, v in given.items() if v is not None})
 
 
 def _serialize_source(term):
@@ -174,11 +170,11 @@ def _prediction_payload(pred):
     }
 
 
-def _predict(profile, potential, bc, grid_n):
+def _predict(profile, potential, bc):
     if isinstance(bc, PeriodicBC):
         bc.validate(profile, potential)
-        return predictor.periodic_prediction(profile, potential, grid_n)
-    return predictor.predict_limit(maxset.decompose(profile), potential, bc, grid_n)
+        return predictor.periodic_prediction(profile, potential)
+    return predictor.predict_limit(maxset.decompose(profile), potential, bc)
 
 
 # -- subcommands ---------------------------------------------------------
@@ -198,7 +194,7 @@ def _cmd_classify(args):
 def _cmd_predict(args):
     profile, potential = _load_inputs(args)
     bc = _parse_bc(args.bc)
-    pred = _predict(profile, potential, bc, args.grid_n)
+    pred = _predict(profile, potential, bc)
     _emit_json(_prediction_payload(pred))
     return 0
 
@@ -222,12 +218,8 @@ def _cmd_solve(args):
 def _sweep_records(args, profile, potential, bc):
     ladder = _parse_ladder(args.ladder)
     intervals = _parse_mass_intervals(args.mass_intervals)
-    with (ThreadPoolExecutor(args.workers) if args.workers > 1
-          else contextlib.nullcontext()) as pool:
-        records = lab.sweep(profile, potential, bc, ladder,
-                            grid_policy=_grid_policy(args),
-                            mass_intervals=intervals,
-                            map_fn=pool.map if pool else map)
+    records = lab.sweep(profile, potential, bc, ladder,
+                        grid_policy=_grid_policy(args), mass_intervals=intervals)
     return records, intervals
 
 
@@ -262,7 +254,7 @@ def _cmd_sweep(args):
 def _cmd_report(args):
     profile, potential = _load_inputs(args)
     bc = _parse_bc(args.bc)
-    pred = _predict(profile, potential, bc, args.grid_n)
+    pred = _predict(profile, potential, bc)
     outdir = args.outdir or os.environ.get("ADVEIG_OUTDIR", ".")
     os.makedirs(outdir, exist_ok=True)
 
@@ -273,7 +265,7 @@ def _cmd_report(args):
         for r in good:
             fh.write(f"{_fmt(r.s)} {_fmt(r.lam)}\n")
 
-    est = lab.estimate_limit(records, tol=args.converge_tol)
+    est = lab.estimate_limit(records)
     payload["estimate"] = est
     payload["converged"] = est["converged"]
     gap = None
@@ -315,18 +307,21 @@ def _cmd_templates(args):
 # -- entry point ---------------------------------------------------------
 
 def _add_profile_args(p, with_c=True):
-    p.add_argument("--template", help="builtin template NAME[:p1,p2,...]")
-    p.add_argument("--profile", help="profile JSON file")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--template", help="builtin template NAME[:p1,p2,...]")
+    source.add_argument("--profile", help="profile JSON file")
     if with_c:
         p.add_argument("--c", default=None,
                        help="potential: zero | const:v | poly:c0,c1,... | FILE")
 
 
 def _add_grid_args(p):
+    policy = lab.DEFAULT_POLICY
     p.add_argument("--grid-multiplier", type=float, default=None,
-                   help="override the n(s) policy multiplier (default 16)")
+                   help="override the n(s) policy multiplier "
+                        f"(default {policy.multiplier:g})")
     p.add_argument("--grid-floor", type=int, default=None,
-                   help="override the n(s) policy floor (default 2000)")
+                   help=f"override the n(s) policy floor (default {policy.floor})")
 
 
 def build_parser():
@@ -343,8 +338,6 @@ def build_parser():
     p = sub.add_parser("predict", help="predicted s->infinity limit")
     _add_profile_args(p)
     p.add_argument("--bc", required=True, help="robin:h1,l1,h2,l2 | periodic")
-    p.add_argument("--grid-n", type=int, default=predictor.DEFAULT_GRID_PER_UNIT,
-                   help="sub-interval grid points per unit length")
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("solve", help="principal eigenvalue at one s")
@@ -365,8 +358,6 @@ def build_parser():
     p.add_argument("--mass-intervals", default="",
                    help="semicolon-separated lo,hi pairs")
     p.add_argument("--out", default=None, help="CSV path (default stdout)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="concurrent ladder solves (deterministic merge)")
     p.add_argument("--timings", action="store_true",
                    help="emit real wall times (breaks byte determinism)")
     _add_grid_args(p)
@@ -377,11 +368,8 @@ def build_parser():
     p.add_argument("--bc", required=True)
     p.add_argument("--ladder", required=True)
     p.add_argument("--mass-intervals", default="")
-    p.add_argument("--grid-n", type=int, default=predictor.DEFAULT_GRID_PER_UNIT)
-    p.add_argument("--converge-tol", type=float, default=1e-2)
     p.add_argument("--outdir", default=None,
                    help="plot-data directory (default $ADVEIG_OUTDIR or .)")
-    p.add_argument("--workers", type=int, default=1)
     _add_grid_args(p)
     p.set_defaults(func=_cmd_report)
 

@@ -31,19 +31,22 @@ from .errors import (AdveigError, InsufficientData, IntervalOutOfDomain,
 
 @dataclass(frozen=True)
 class GridPolicy:
-    """n(s) = max(floor, ceil(multiplier * s * max|m'| * length)): resolves
+    """n(s) = max(floor, ceil(multiplier * s * max|m'|)): resolves
     the exp(-s dist)-scale boundary layers; every cell drift s |dm| is
     then at most 1/multiplier, well inside the assembly guard 0.5."""
     multiplier: float = 16.0
     floor: int = 2000
 
-    def n_for(self, profile, s, length=1.0):
+    def n_for(self, profile, s):
         return int(max(self.floor,
                        math.ceil(self.multiplier * max(s, 1.0)
-                                 * profile.max_abs_deriv * length)))
+                                 * profile.max_abs_deriv)))
 
 
 DEFAULT_POLICY = GridPolicy()
+CONVERGE_TOL = 1e-2        # tail spread below which a ladder counts as converged
+RESCALED_Y_MAX = 4.0       # rescaled profiles are sampled on |y| <= RESCALED_Y_MAX
+RESCALED_POINTS = 161
 
 
 @dataclass(frozen=True)
@@ -101,8 +104,9 @@ def sweep(profile, c, bc, s_ladder, grid_policy: GridPolicy | None = None,
 
     Library failures (AdveigError) are recorded per entry (error marker)
     instead of aborting the whole ladder; programming errors propagate.
-    map_fn lets a caller run entries concurrently; results are merged in
-    ladder order regardless.
+    map_fn exists only for the benchmark's two-thread diagnostic
+    (perfbench/run.py), which checks whether concurrent entries pay;
+    results are merged in ladder order regardless.
     """
     if len(s_ladder) == 0:
         raise InsufficientData("empty s ladder")
@@ -128,7 +132,7 @@ def _tail(records):
     return ok, ok[len(ok) // 2:]
 
 
-def estimate_limit(records, tol: float = 1e-2):
+def estimate_limit(records):
     """Tail statistics plus a 1/s^p extrapolation from the last three
     points (p fit in [0.5, 3]; diagnostic, not authoritative: the
     converged flag is what gates acceptance)."""
@@ -162,7 +166,7 @@ def estimate_limit(records, tol: float = 1e-2):
         extrapolated = l3 - amp * s3 ** -p
     return {"lambda_inf": lam_inf, "lambda_sup": lam_sup,
             "extrapolated": float(extrapolated),
-            "converged": bool(lam_sup - lam_inf <= tol),
+            "converged": bool(lam_sup - lam_inf <= CONVERGE_TOL),
             "reliable": reliable, "p": p}
 
 
@@ -193,9 +197,9 @@ def mass_distribution(x, w, intervals):
     return out
 
 
-def component_mass_radius(decomp, x0, domain=(0.0, 1.0)):
+def component_mass_radius(decomp, x0):
     """Half the distance from x0 to the nearest other max-set component,
-    falling back to the nearest domain boundary for a single component;
+    falling back to the nearest end of [0, 1] for a single component;
     keeps the local mass window from swallowing neighbouring support."""
     gaps = []
     for lo, hi in decomp.components():
@@ -203,17 +207,15 @@ def component_mass_radius(decomp, x0, domain=(0.0, 1.0)):
             continue
         gaps.append(lo - x0 if lo > x0 else x0 - hi)
     if not gaps:
-        edge = [d for d in (x0 - domain[0], domain[1] - x0) if d > 0]
-        if not edge:
-            return 0.5 * (domain[1] - domain[0])
-        return 0.5 * min(edge)
+        edge = [d for d in (x0, 1.0 - x0) if d > 0]
+        return 0.5 * min(edge, default=1.0)
     return 0.5 * min(gaps)
 
 
-def rescaled_profile(x, w, x0, k_star, s, mass_radius, y_max=4.0, num=161):
+def rescaled_profile(x, w, x0, k_star, s, mass_radius):
     """Local profile W(y) = s^{-1/(2k*)} w(x0 + s^{-1/k*} y) / sqrt(local
-    mass), sampled by linear interpolation on y in [-y_max, y_max]
-    intersected with the grid's image."""
+    mass), sampled by linear interpolation at RESCALED_POINTS points on
+    |y| <= RESCALED_Y_MAX intersected with the grid's image."""
     if k_star is None:
         raise KStarUndefined("x0 has no defined degeneracy order")
     x = np.asarray(x, dtype=float)
@@ -223,9 +225,9 @@ def rescaled_profile(x, w, x0, k_star, s, mass_radius, y_max=4.0, num=161):
     if local <= 1e-6:
         raise MassTooSmall(f"local mass {local:.2e} around {x0}")
     eps = s ** (-1.0 / k_star)
-    ylo = max(-y_max, (x[0] - x0) / eps)
-    yhi = min(y_max, (x[-1] - x0) / eps)
-    y = np.linspace(ylo, yhi, num)
+    ylo = max(-RESCALED_Y_MAX, (x[0] - x0) / eps)
+    yhi = min(RESCALED_Y_MAX, (x[-1] - x0) / eps)
+    y = np.linspace(ylo, yhi, RESCALED_POINTS)
     vals = s ** (-1.0 / (2.0 * k_star)) * np.interp(x0 + eps * y, x, w)
     return RescaledProfile(x0=float(x0), k_star=int(k_star), s=float(s),
                            y=y, values=vals / math.sqrt(local))

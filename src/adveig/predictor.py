@@ -25,7 +25,7 @@ from .maxset import (SEGMENT_SUB_BC, MaxSetDecomposition, boundedness,
                      decompose_periodic)
 from .profile import Potential, RobinBC
 
-DEFAULT_GRID_PER_UNIT = 4000
+GRID_PER_UNIT = 4000     # sub-interval grid points per unit length
 _MIN_SUB_N = 64
 
 
@@ -51,39 +51,34 @@ class LimitPrediction:
         return "finite" if self.finite else "unbounded"
 
 
-def _sub_n(a, b, grid_n):
-    return max(_MIN_SUB_N, math.ceil(grid_n * (b - a)))
-
-
-def _sub_eigenvalue(c, a, b, left, right, grid_n):
+def _sub_eigenvalue(c, a, b, left, right):
     """Sub-interval principal eigenvalue with a two-grid error estimate."""
-    n = _sub_n(a, b, grid_n)
+    n = max(_MIN_SUB_N, math.ceil(GRID_PER_UNIT * (b - a)))
     fine = principal_eigen(assemble_subinterval(c, a, b, left, right, n)).lam
     coarse = principal_eigen(assemble_subinterval(c, a, b, left, right, n // 2)).lam
     return fine, abs(fine - coarse) / 3.0   # second-order Richardson gap
 
 
-def _segment_term(seg, c, bc, grid_n):
+def _segment_term(seg, c, bc):
     """Sub-interval eigenvalue term of a plateau; an R end inherits the
     global Robin pair of bc at the boundary the class touches."""
     left, right = SEGMENT_SUB_BC[seg.cls]
     lam, err = _sub_eigenvalue(
         c, seg.a, seg.b,
         SubBC.R(bc.hbar1, bc.ell1) if left == "R" else SubBC(left),
-        SubBC.R(bc.hbar2, bc.ell2) if right == "R" else SubBC(right), grid_n)
+        SubBC.R(bc.hbar2, bc.ell2) if right == "R" else SubBC(right))
     return LimitTerm(left + right, lam, seg, (seg.a, seg.b), err)
 
 
-def frak_L(decomp: MaxSetDecomposition, c: Potential,
-           grid_n: int = DEFAULT_GRID_PER_UNIT) -> float:
+def frak_L(decomp: MaxSetDecomposition, c: Potential) -> float:
     """min over inner plateaus of their ND/NN/DD/DN eigenvalues; +inf
     when M2..M5 are all empty."""
-    return min((_segment_term(seg, c, None, grid_n).value
+    return min((_segment_term(seg, c, None).value
                 for seg in decomp.segments
                 if seg.cls in ("M2", "M3", "M4", "M5")), default=math.inf)
 
 
-def _collect_terms(decomp, c, bc, grid_n):
+def _collect_terms(decomp, c, bc):
     """c terms at the isolated maxima that count, then one term per
     plateau; bc is only read at boundary maxima and boundary plateaus."""
     terms = []
@@ -94,7 +89,7 @@ def _collect_terms(decomp, c, bc, grid_n):
             terms.append(LimitTerm("c_at_point", float(c(0.0)), point))
         elif point.position == "right_boundary" and bc.ell2 == 0.0:
             terms.append(LimitTerm("c_at_point", float(c(1.0)), point))
-    terms.extend(_segment_term(seg, c, bc, grid_n) for seg in decomp.segments)
+    terms.extend(_segment_term(seg, c, bc) for seg in decomp.segments)
     return terms
 
 
@@ -119,13 +114,13 @@ def _finite(terms):
     return LimitPrediction(True, best, tuple(terms), argmin)
 
 
-def predict_limit(decomp: MaxSetDecomposition, c: Potential, bc: RobinBC,
-                  grid_n: int = DEFAULT_GRID_PER_UNIT) -> LimitPrediction:
+def predict_limit(decomp: MaxSetDecomposition, c: Potential,
+                  bc: RobinBC) -> LimitPrediction:
     """Limit prediction for the Robin problem, or the unbounded verdict."""
     verdict = boundedness(decomp, bc)
     if not verdict.bounded:
         return LimitPrediction(False, None, case=verdict.case)
-    terms = _collect_terms(decomp, c, bc, grid_n)
+    terms = _collect_terms(decomp, c, bc)
     if not terms:
         # all maxima are boundary points shielded by ell > 0, yet the
         # trichotomy said bounded: cannot happen for a valid decomposition
@@ -133,20 +128,9 @@ def predict_limit(decomp: MaxSetDecomposition, c: Potential, bc: RobinBC,
     return _finite(terms)
 
 
-def periodic_prediction(profile, c: Potential,
-                        grid_n: int = DEFAULT_GRID_PER_UNIT) -> LimitPrediction:
+def periodic_prediction(profile, c: Potential) -> LimitPrediction:
     """Term-by-term form of the periodic limit min{frak_L, min c over
     isolated maxima}: always finite, the case with no boundary terms
     (decompose_periodic keeps interior maxima only and rejects boundary
-    plateaus)."""
-    return _finite(_collect_terms(decompose_periodic(profile), c, None, grid_n))
-
-
-def predict_limit_periodic(profile, c: Potential,
-                           grid_n: int = DEFAULT_GRID_PER_UNIT) -> float:
-    """Limiting periodic eigenvalue min{frak_L, min c over isolated maxima}.
-
-    Requires m'(0) > 0 (periodic normalization); boundary plateau
-    classes cannot occur then and are rejected upstream.
-    """
-    return periodic_prediction(profile, c, grid_n).value
+    plateaus).  Requires m'(0) > 0 (periodic normalization)."""
+    return _finite(_collect_terms(decompose_periodic(profile), c, None))

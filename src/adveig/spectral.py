@@ -36,7 +36,7 @@ from scipy.linalg import solveh_banded
 from .errors import NoConvergence, NonFinite
 
 RESIDUAL_TOL = 1e-8
-DEFAULT_TOL_LAMBDA = 1e-10
+TOL_LAMBDA = 1e-10   # certificate margin floor and Rayleigh-quotient stall test
 MAX_STEPS = 100   # Cholesky factorizations per eigenpair; ~50 bisections close any bracket
 
 
@@ -116,11 +116,11 @@ def _fix_sign(v):
     return v if v[i] > 0 else -v
 
 
-def _delta(T, tol_lambda):
-    """Certificate margin: tol_lambda, widened to the backward-error
+def _delta(T):
+    """Certificate margin: TOL_LAMBDA, widened to the backward-error
     scale eps*||T|| below which the Cholesky test of the rounded matrix
     is not meaningful."""
-    return max(tol_lambda, 64 * np.finfo(float).eps * T.inf_norm())
+    return max(TOL_LAMBDA, 64 * np.finfo(float).eps * T.inf_norm())
 
 
 def _cholesky_solve(diag, offdiag, sigma, rhs):
@@ -173,16 +173,14 @@ def _cyclic_definite_below(T, split, sigma, v=None):
     return y - z * (beta * (u @ y) / denom) if denom > 0.0 else None
 
 
-def smallest_eig(T: SymTridiag, tol_lambda: float = DEFAULT_TOL_LAMBDA) -> EigenPair:
+def smallest_eig(T: SymTridiag) -> EigenPair:
     """Principal (smallest) eigenpair; the vector's global sign is fixed
     so that its largest-magnitude entry is positive, which makes it
     entrywise positive for matrices with nonpositive offdiagonals."""
-    if tol_lambda <= 0:
-        raise ValueError("tol_lambda must be positive")
     if T.n == 1:                       # a 1x1 matrix has no corner entry
         return EigenPair(float(T.diag[0]), np.array([1.0]), 0.0)
     split = None if T.corner is None else _rank_one_split(T)
-    delta = _delta(T, tol_lambda)
+    delta = _delta(T)
     lo, hi = T.gershgorin()
     lo -= delta                        # T - lo I is strictly diagonally dominant
     sigma = lo
@@ -206,7 +204,7 @@ def smallest_eig(T: SymTridiag, tol_lambda: float = DEFAULT_TOL_LAMBDA) -> Eigen
             Tv = T.matvec(v)
             rq = float(v @ Tv)
             hi = min(hi, rq)
-            if hi - lo <= 2 * delta and sigma == last and prev - rq <= tol_lambda:
+            if hi - lo <= 2 * delta and sigma == last and prev - rq <= TOL_LAMBDA:
                 res = float(np.linalg.norm(Tv - rq * v) / max(T.inf_norm(), 1e-300))
                 if res <= RESIDUAL_TOL:
                     return EigenPair(rq, _fix_sign(v), res)

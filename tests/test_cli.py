@@ -119,6 +119,15 @@ def test_malformed_numbers_exit_2(tmp_path, capsys):
         assert (code, err.split(":")[0]) == (2, "MalformedSpec"), argv
 
 
+def test_template_and_profile_together_exit_2(tmp_path, capsys):
+    path = tmp_path / "prof.json"
+    path.write_text(json.dumps({"template": {"name": "vee", "params": [0.5]}}))
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--template", "vee:0.5", "--profile", str(path)])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_validation_error_exit_2(capsys):
     code, _, err = run_cli(capsys, "predict", "--template", "vee:0.5",
                            "--c", "zero", "--bc", "robin:0,0,1,0")
@@ -174,13 +183,15 @@ def test_sweep_csv_format_and_determinism(tmp_path, capsys):
     assert all(row.endswith(",0.0") for row in lines[1:])  # timings suppressed
 
 
-def test_sweep_concurrent_matches_serial(tmp_path, capsys):
-    args = ("sweep", "--template", "t2:0.1,0.25,0.4,0.55,0.7,0.85",
-            "--c", "zero", "--bc", "robin:1,0,1,0", "--ladder", "10,20,30")
-    a, b = tmp_path / "serial.csv", tmp_path / "par.csv"
-    assert run_cli(capsys, *args, "--out", str(a))[0] == 0
-    assert run_cli(capsys, *args, "--out", str(b), "--workers", "3")[0] == 0
-    assert a.read_bytes() == b.read_bytes()
+def test_sweep_timings_writes_wall_times(tmp_path, capsys):
+    path = tmp_path / "t.csv"
+    code, _, _ = run_cli(capsys, "sweep", "--template", "vee:0.5", "--c", "zero",
+                         "--bc", "robin:0,1,0,1", "--ladder", "10,20",
+                         "--timings", "--out", str(path))
+    assert code == 0
+    rows = [r.split(",") for r in path.read_text().splitlines()]
+    assert rows[0][-1] == "wall_time" and len(rows) == 3
+    assert all(float(r[-1]) > 0.0 for r in rows[1:])
 
 
 def test_report_emits_verdict_and_plot_data(tmp_path, capsys):
@@ -263,6 +274,14 @@ def test_grid_policy_flags(capsys, monkeypatch):
         assert code == 0
         vals[mult] = float(out.strip())
     assert vals["64"] != vals["16"]   # finer grid changes the discrete value
+    # --grid-floor 0 is kept next to --grid-multiplier: n = 16 * 50 = 800,
+    # not the default floor 2000
+    solve = ("solve", "--template", "monotone_increasing", "--bc",
+             "robin:1,0,1,0", "--s", "50", "--c", "poly:1,1")
+    floor0 = run_cli(capsys, *solve, "--grid-multiplier", "16", "--grid-floor", "0")
+    assert floor0 == run_cli(capsys, *solve, "--n", "800")
+    assert floor0[1] != run_cli(capsys, *solve, "--n", "2000")[1]
+    assert floor0 == run_cli(capsys, *solve, "--grid-floor", "0")
     # a failed eigensolve is a numerical failure, exit code 3
     import adveig.cli
     from adveig.errors import NoConvergence

@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -83,6 +84,21 @@ def test_sweep_propagates_programming_errors(monkeypatch):
     monkeypatch.setattr(lab, "_solve_one", broken)
     with pytest.raises(TypeError, match="not a library failure"):
         sweep(prof, C0, RobinBC.neumann(), [10.0])
+
+
+def test_sweep_thread_pool_map_matches_serial():
+    """map_fn runs ladder entries concurrently; the records are the
+    serial ones, in ladder order."""
+    prof = build_profile(builtin("t2", 0.1, 0.25, 0.4, 0.55, 0.7, 0.85))
+    args = (prof, C0, RobinBC.neumann(), [30.0, 10.0, 40.0, 20.0])
+    masses = [(0.1, 0.25), (0.4, 0.55)]
+    serial = sweep(*args, mass_intervals=masses)
+    with ThreadPoolExecutor(3) as pool:
+        threaded = sweep(*args, mass_intervals=masses, map_fn=pool.map)
+    assert [r.s for r in threaded] == [10.0, 20.0, 30.0, 40.0]
+    assert ([(r.s, r.n, r.lam, r.mass) for r in threaded]
+            == [(r.s, r.n, r.lam, r.mass) for r in serial])
+    assert all(r.error is None for r in threaded)
 
 
 def periodic_quadratic_potential(x0, floor):
@@ -243,7 +259,7 @@ def test_rescaled_profile_symmetry():
     prof = build_profile(builtin("power_max", 0.5, 4))
     r = _neumann_grid(prof, C0, 300.0)
     x, w = r.grid
-    resc = rescaled_profile(x, w, 0.5, 4, 300.0, 0.25, num=161)
+    resc = rescaled_profile(x, w, 0.5, 4, 300.0, 0.25)
     flipped = np.interp(-resc.y, resc.y, resc.values)
     assert np.max(np.abs(resc.values - flipped)) <= 1e-3
 

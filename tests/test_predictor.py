@@ -5,8 +5,7 @@ import pytest
 from adveig.errors import PreconditionViolated
 from adveig.maxset import decompose
 from adveig.predictor import (LimitTerm, _argmin_set, frak_L,
-                              periodic_prediction, predict_limit,
-                              predict_limit_periodic)
+                              periodic_prediction, predict_limit)
 from adveig.profile import (Potential, ProfileSpec, RobinBC, build_profile,
                             builtin, _ramp_coeffs)
 
@@ -116,10 +115,10 @@ def test_prediction_never_below_min_c():
 def test_periodic_prediction_isolated_max():
     bump = build_profile(builtin("periodic_bump", 0.25))
     c = Potential.from_segments((0.0, 1.0), ((0.3 + 0.0625, -0.5, 1.0),))
-    assert predict_limit_periodic(bump, c) == pytest.approx(0.3, abs=1e-12)
+    assert periodic_prediction(bump, c).value == pytest.approx(0.3, abs=1e-12)
     # c -> c + sigma shifts the prediction by exactly sigma
     c2 = Potential.from_segments((0.0, 1.0), ((1.3 + 0.0625, -0.5, 1.0),))
-    assert predict_limit_periodic(bump, c2) == pytest.approx(1.3, abs=1e-12)
+    assert periodic_prediction(bump, c2).value == pytest.approx(1.3, abs=1e-12)
 
 
 def _periodic_plateau_profile():
@@ -155,7 +154,7 @@ def test_periodic_prediction_plateau():
 
 def test_periodic_preconditions():
     with pytest.raises(PreconditionViolated):
-        predict_limit_periodic(build_profile(builtin("vee", 0.5)), C0)
+        periodic_prediction(build_profile(builtin("vee", 0.5)), C0)
 
 
 def test_argmin_tie_uses_the_pair_error_estimates():
