@@ -21,9 +21,9 @@ its diagonal, and is symmetrized by scaling that unknown by sqrt(2)
 (eigenvalues unchanged, eigenvector entries scale back).  A Dirichlet
 end drops its node.  With n the matrix dimension this gives
 h = (b-a)/(n-1) when both ends are kept and h = (b-a)/(n+1) when both
-are dropped.  On the circle (PeriodicBC) the n nodes are x_i = i/n and
-the matrix carries a cyclic corner: an operator is periodic exactly when
-matrix.corner is not None.
+are dropped.  On the circle (PeriodicBC) the unknowns are x_i = i/n, the
+nodes close at x_n = 1 and the matrix carries a cyclic corner: an
+operator is periodic exactly when matrix.corner is not None.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ class SubBC:
 class DiscreteOperator:
     matrix: SymTridiag
     grid: dict                      # {a, b, n, h}; n is the matrix dimension
-    nodes: np.ndarray = field(repr=False)   # all nodes incl. dropped Dirichlet ones
+    nodes: np.ndarray = field(repr=False)   # every node: dropped ones, circle's x = 1
     kept: slice = field(repr=False)
     scales: tuple = (1.0, 1.0)      # sqrt(2) desymmetrization at kept ends
 
@@ -116,17 +116,15 @@ def _build(a, b, n, c, ends, s=0.0, profile=None):
     if n < 4:
         raise ValidationError("grid too small (need n >= 4)")
     if ends is None:
-        n_nodes = n_cells = n
+        n_cells = n
         kept = slice(0, n)
     else:
-        n_nodes = n + (ends[0] is None) + (ends[1] is None)
-        n_cells = n_nodes - 1
-        kept = slice(int(ends[0] is None), n_nodes - (ends[1] is None))
+        n_cells = n + (ends[0] is None) + (ends[1] is None) - 1
+        kept = slice(int(ends[0] is None), n_cells + 1 - (ends[1] is None))
     h = (b - a) / n_cells
     # the operator's long-lived arrays first; d becomes the offdiagonal
-    nodes = a + h * np.arange(n_nodes)
-    if ends is not None:
-        nodes[-1] = b
+    nodes = a + h * np.arange(n_cells + 1)
+    nodes[-1] = b
     diag = np.zeros(n_cells + 1)        # on the circle entry n is node 0
     d = np.zeros(n_cells)
     if s:
@@ -176,7 +174,7 @@ def assemble_transformed(profile: AdvectionProfile, c: Potential,
 
     Under a RobinBC the closure -hbar1 phi'(0) + ell1 phi(0) = 0 (and its
     mirror at 1) keeps the boundary node; hbar = 0 ends drop it.  Under a
-    PeriodicBC the operator is cyclic on the circle, n nodes x_i = i/n.
+    PeriodicBC the operator is cyclic on the circle, n unknowns x_i = i/n.
     """
     if s < 0:
         raise ValidationError("s must be >= 0")
@@ -221,22 +219,19 @@ def principal_eigen(op: DiscreteOperator) -> EigenPair:
     w[0] *= op.scales[0]
     w[-1] *= op.scales[1]
     x, full = _full_grid_function(op, w)
-    w /= math.sqrt(_trapz_sq(op, x, full))
+    w /= math.sqrt(float(np.trapezoid(full ** 2, x)))
     return EigenPair(pair.lam, w, pair.residual)
-
-
-def _trapz_sq(op, x, w):
-    if op.matrix.corner is not None:
-        return float(np.sum(w**2) * op.grid["h"])  # uniform weights on the circle
-    return float(np.trapezoid(w**2, x))
 
 
 def _full_grid_function(op, w_kept):
     full = np.zeros(op.nodes.size)
     full[op.kept] = w_kept
+    if op.matrix.corner is not None:
+        full[-1] = w_kept[0]            # x = 1 is node 0 again
     return op.nodes, full
 
 
 def eigenfunction_on_grid(op: DiscreteOperator, pair: EigenPair):
-    """(x, w) on the full node set, zeros at removed Dirichlet nodes."""
+    """(x, w) on the full node set, zeros at removed Dirichlet nodes; on
+    the circle the last node is x = 1 and repeats w at x = 0."""
     return _full_grid_function(op, pair.vector)

@@ -171,10 +171,13 @@ def _prediction_payload(pred):
 
 
 def _predict(profile, potential, bc):
+    """(decomposition, prediction) under Robin or periodic data."""
     if isinstance(bc, PeriodicBC):
         bc.validate(profile, potential)
-        return predictor.periodic_prediction(profile, potential)
-    return predictor.predict_limit(maxset.decompose(profile), potential, bc)
+        decomp = maxset.decompose_periodic(profile)
+    else:
+        decomp = maxset.decompose(profile)
+    return decomp, predictor.predict_limit(decomp, potential, bc)
 
 
 # -- subcommands ---------------------------------------------------------
@@ -194,7 +197,7 @@ def _cmd_classify(args):
 def _cmd_predict(args):
     profile, potential = _load_inputs(args)
     bc = _parse_bc(args.bc)
-    pred = _predict(profile, potential, bc)
+    _, pred = _predict(profile, potential, bc)
     _emit_json(_prediction_payload(pred))
     return 0
 
@@ -202,7 +205,7 @@ def _cmd_predict(args):
 def _cmd_solve(args):
     profile, potential = _load_inputs(args)
     bc = _parse_bc(args.bc)
-    n = args.n or _grid_policy(args).n_for(profile, args.s)
+    n = args.n if args.n is not None else _grid_policy(args).n_for(profile, args.s)
     op = assemble_transformed(profile, potential, bc, args.s, n)
     pair = principal_eigen(op)
     sys.stdout.write(_fmt(pair.lam) + "\n")
@@ -254,7 +257,7 @@ def _cmd_sweep(args):
 def _cmd_report(args):
     profile, potential = _load_inputs(args)
     bc = _parse_bc(args.bc)
-    pred = _predict(profile, potential, bc)
+    decomp, pred = _predict(profile, potential, bc)
     outdir = args.outdir or os.environ.get("ADVEIG_OUTDIR", ".")
     os.makedirs(outdir, exist_ok=True)
 
@@ -277,8 +280,6 @@ def _cmd_report(args):
     # an isolated maximum with a defined degeneracy order
     profile_file = None
     if pred.finite and good and good[-1].grid is not None:
-        decomp = (maxset.decompose_periodic(profile)
-                  if isinstance(bc, PeriodicBC) else maxset.decompose(profile))
         for idx in pred.argmin:
             src = pred.terms[idx].source
             if isinstance(src, maxset.IsolatedMax) and src.k_star is not None:

@@ -84,10 +84,6 @@ def _solve_one(profile, c, bc, s, n, mass_intervals):
     op = assemble_transformed(profile, c, bc, s, n)
     pair = principal_eigen(op)
     x, w = eigenfunction_on_grid(op, pair)
-    if op.matrix.corner is not None:
-        # close the circle for interpolation and quadrature
-        x = np.append(x, 1.0)
-        w = np.append(w, w[0])
     masses = tuple(((lo, hi), m) for (lo, hi), m in
                    zip(mass_intervals, mass_distribution(x, w, mass_intervals)))
     if mass_intervals:
@@ -250,16 +246,13 @@ def limit_ode_ground_state(m_kstar: float, k_star: int, half_line: str = "none",
     k = int(k_star)
     if k != k_star or k < 2:
         raise ValidationError("k_star must be an integer >= 2")
-    if m_kstar == 0.0:
-        raise ValidationError("m_kstar must be nonzero")
-    if half_line not in ("none", "left", "right"):
+    infinite_ends = {"none": (-1, 1), "left": (-1,), "right": (1,)}.get(half_line)
+    if infinite_ends is None:
         raise ValidationError("half_line must be none, left or right")
-    if half_line == "none" and (k % 2 != 0 or m_kstar >= 0):
-        raise ValidationError("full-line profile needs even k* and m_kstar < 0")
-    if half_line == "right" and m_kstar >= 0:
-        raise ValidationError("right half-line needs m_kstar < 0")
-    if half_line == "left" and m_kstar * (-1.0) ** k >= 0:
-        raise ValidationError("left half-line needs m_kstar * (-1)^k* < 0")
+    # exp(m y^k*/k*!) decays toward +-inf exactly when m (+-1)^k* < 0
+    if any(m_kstar * sign ** k >= 0 for sign in infinite_ends):
+        raise ValidationError(f"exp(m_kstar y^k*/k*!) must decay toward every "
+                              f"infinite end of the {half_line!r} domain")
 
     c1 = m_kstar / math.factorial(k - 1)
     c2 = m_kstar / math.factorial(k - 2)

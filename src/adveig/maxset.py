@@ -23,8 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (AtSegmentJunction, NotAMaximum, PreconditionViolated,
-                     BoundaryClassPresent)
+from .errors import (AtSegmentJunction, BoundaryClassPresent, NotAMaximum,
+                     NotPeriodic, PreconditionViolated)
 from .profile import AdvectionProfile, DEGREE_CAP
 
 INTERIOR = "interior"
@@ -164,6 +164,8 @@ def decompose_periodic(profile: AdvectionProfile) -> MaxSetDecomposition:
         raise BoundaryClassPresent(
             "boundary plateau classes are not meaningful on the circle")
     interior = tuple(p for p in decomp.isolated if p.position == INTERIOR)
+    if not interior and not decomp.segments:
+        raise NotPeriodic("m has no local maximum on the circle")
     return MaxSetDecomposition(interior, decomp.segments)
 
 
@@ -196,27 +198,24 @@ class Boundedness:
     case: str | None = None       # i-1 | i-2 | i-3 for unbounded verdicts
 
 
+def shielded(point: IsolatedMax, bc) -> bool:
+    """A boundary maximum whose end has ell > 0: the boundary data
+    penalize it, so it adds no c term to the limit.  Interior maxima
+    (the only kind on the circle) are never shielded and never read bc."""
+    return ((point.position == LEFT_BOUNDARY and bc.ell1 > 0)
+            or (point.position == RIGHT_BOUNDARY and bc.ell2 > 0))
+
+
 def boundedness(decomp: MaxSetDecomposition, bc) -> Boundedness:
-    """Boundedness trichotomy of the s -> infinity limit under Robin data.
+    """Boundedness trichotomy of the s -> infinity limit.
 
-    Unbounded exactly when every local maximum is an isolated boundary
-    point and the boundary data penalizes it: (i-1) both ells positive
-    and M = M1 subset {0,1}; (i-2) ell1 > 0 = ell2 and M = {0};
-    (i-3) ell1 = 0 < ell2 and M = {1}.
+    Unbounded exactly when there is no plateau and every isolated
+    maximum is shielded: (i-1) both ells positive and M = M1 subset
+    {0,1}; (i-2) ell1 > 0 = ell2 and M = {0}; (i-3) ell1 = 0 < ell2 and
+    M = {1}.
     """
-    has_segments = len(decomp.segments) > 0
-    interior = [p for p in decomp.isolated if p.position == INTERIOR]
-    at0 = any(p.position == LEFT_BOUNDARY for p in decomp.isolated)
-    at1 = any(p.position == RIGHT_BOUNDARY for p in decomp.isolated)
-    only_boundary_isolated = not has_segments and not interior
-
+    if decomp.segments or not all(shielded(p, bc) for p in decomp.isolated):
+        return Boundedness(True)
     if bc.ell1 > 0 and bc.ell2 > 0:
-        if only_boundary_isolated:
-            return Boundedness(False, "i-1")
-    elif bc.ell1 > 0 and bc.ell2 == 0:
-        if only_boundary_isolated and at0 and not at1:
-            return Boundedness(False, "i-2")
-    elif bc.ell1 == 0 and bc.ell2 > 0:
-        if only_boundary_isolated and at1 and not at0:
-            return Boundedness(False, "i-3")
-    return Boundedness(True)
+        return Boundedness(False, "i-1")
+    return Boundedness(False, "i-2" if bc.ell1 > 0 else "i-3")

@@ -20,10 +20,9 @@ import math
 from dataclasses import dataclass
 
 from .assembly import SubBC, assemble_subinterval, principal_eigen
-from .errors import PreconditionViolated
 from .maxset import (SEGMENT_SUB_BC, MaxSetDecomposition, boundedness,
-                     decompose_periodic)
-from .profile import Potential, RobinBC
+                     decompose_periodic, shielded)
+from .profile import PeriodicBC, Potential, RobinBC
 
 GRID_PER_UNIT = 4000     # sub-interval grid points per unit length
 _MIN_SUB_N = 64
@@ -79,18 +78,11 @@ def frak_L(decomp: MaxSetDecomposition, c: Potential) -> float:
 
 
 def _collect_terms(decomp, c, bc):
-    """c terms at the isolated maxima that count, then one term per
-    plateau; bc is only read at boundary maxima and boundary plateaus."""
-    terms = []
-    for point in decomp.isolated:
-        if point.position == "interior":
-            terms.append(LimitTerm("c_at_point", float(c(point.x)), point))
-        elif point.position == "left_boundary" and bc.ell1 == 0.0:
-            terms.append(LimitTerm("c_at_point", float(c(0.0)), point))
-        elif point.position == "right_boundary" and bc.ell2 == 0.0:
-            terms.append(LimitTerm("c_at_point", float(c(1.0)), point))
-    terms.extend(_segment_term(seg, c, bc) for seg in decomp.segments)
-    return terms
+    """c at each isolated maximum that bc does not shield, then one term
+    per plateau; bc is only read at boundary maxima and boundary plateaus."""
+    return ([LimitTerm("c_at_point", float(c(p.x)), p)
+             for p in decomp.isolated if not shielded(p, bc)]
+            + [_segment_term(seg, c, bc) for seg in decomp.segments])
 
 
 def _argmin_set(terms):
@@ -109,28 +101,20 @@ def _argmin_set(terms):
     return tuple(i for i, t in enumerate(terms) if tied(t)), best.value
 
 
-def _finite(terms):
-    argmin, best = _argmin_set(terms)
-    return LimitPrediction(True, best, tuple(terms), argmin)
-
-
 def predict_limit(decomp: MaxSetDecomposition, c: Potential,
-                  bc: RobinBC) -> LimitPrediction:
-    """Limit prediction for the Robin problem, or the unbounded verdict."""
+                  bc: RobinBC | PeriodicBC) -> LimitPrediction:
+    """Limit prediction, or the unbounded verdict.  A bounded verdict
+    always leaves a term: a plateau or an unshielded isolated maximum."""
     verdict = boundedness(decomp, bc)
     if not verdict.bounded:
         return LimitPrediction(False, None, case=verdict.case)
-    terms = _collect_terms(decomp, c, bc)
-    if not terms:
-        # all maxima are boundary points shielded by ell > 0, yet the
-        # trichotomy said bounded: cannot happen for a valid decomposition
-        raise PreconditionViolated("bounded verdict without candidate terms")
-    return _finite(terms)
+    terms = tuple(_collect_terms(decomp, c, bc))
+    argmin, best = _argmin_set(terms)
+    return LimitPrediction(True, best, terms, argmin)
 
 
 def periodic_prediction(profile, c: Potential) -> LimitPrediction:
-    """Term-by-term form of the periodic limit min{frak_L, min c over
-    isolated maxima}: always finite, the case with no boundary terms
-    (decompose_periodic keeps interior maxima only and rejects boundary
-    plateaus).  Requires m'(0) > 0 (periodic normalization)."""
-    return _finite(_collect_terms(decompose_periodic(profile), c, None))
+    """The periodic limit min{frak_L, min c over isolated maxima}: the
+    circle form of predict_limit, which has no boundary terms.  Requires
+    m'(0) > 0 (periodic normalization)."""
+    return predict_limit(decompose_periodic(profile), c, PeriodicBC())

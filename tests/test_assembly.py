@@ -168,6 +168,14 @@ def test_periodic_assembly():
         assemble_periodic(vee, C0, 1.0, 500)
 
 
+def test_periodic_eigenfunction_closes_the_circle():
+    bump = build_profile(builtin("periodic_bump", 0.3))
+    op = assemble_periodic(bump, C0, 20.0, 500)
+    x, w = eigenfunction_on_grid(op, principal_eigen(op))
+    assert (x.size, x[-1], w[-1]) == (501, 1.0, w[0])
+    assert np.trapezoid(w ** 2, x) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_periodic_matches_dense_oracle_at_s0():
     bump = build_profile(builtin("periodic_bump", 0.3))
     c = Potential.from_segments((0.0, 1.0), ((0.5, 2.0, -2.0),))  # c(0)=c(1)

@@ -145,6 +145,13 @@ def test_solve_vee_growth(capsys):
     assert lams["100"] > lams["50"] > 0
 
 
+def test_solve_zero_grid_size_exit_2(capsys):
+    code, out, err = run_cli(capsys, "solve", "--template", "vee:0.5",
+                             "--bc", "robin:1,0,1,0", "--s", "10", "--n", "0")
+    assert (code, out) == (2, "")
+    assert err == "ValidationError: transformed assembly needs n >= 16\n"
+
+
 def test_solve_dump_eigenfunction(tmp_path, capsys):
     out_csv = tmp_path / "w.csv"
     code, out, _ = run_cli(capsys, "solve", "--template", "power_max:0.5,2",

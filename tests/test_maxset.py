@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from adveig.errors import (AtSegmentJunction, BoundaryClassPresent,
-                           NotAMaximum, PreconditionViolated)
+                           NotAMaximum, NotPeriodic, PreconditionViolated)
 from adveig.maxset import (boundedness, decompose, decompose_periodic,
                            degeneracy_order)
 from adveig.profile import ProfileSpec, RobinBC, build_profile, builtin
@@ -179,6 +179,9 @@ def test_periodic_decomposition():
                for p in decompose(bump).isolated)
     with pytest.raises(PreconditionViolated):
         decompose_periodic(build_profile(builtin("vee", 0.5)))
+    # m'(0) > 0 but no maximum on the circle: m is not 1-periodic
+    with pytest.raises(NotPeriodic):
+        decompose_periodic(build_profile(builtin("monotone_increasing")))
 
 
 def test_periodic_rejects_boundary_plateau():

@@ -3,11 +3,11 @@ import math
 import pytest
 
 from adveig.errors import PreconditionViolated
-from adveig.maxset import decompose
+from adveig.maxset import boundedness, decompose, decompose_periodic
 from adveig.predictor import (LimitTerm, _argmin_set, frak_L,
                               periodic_prediction, predict_limit)
-from adveig.profile import (Potential, ProfileSpec, RobinBC, build_profile,
-                            builtin, _ramp_coeffs)
+from adveig.profile import (PeriodicBC, Potential, ProfileSpec, RobinBC,
+                            TEMPLATES, build_profile, builtin, _ramp_coeffs)
 
 C0 = Potential.zero()
 CX = Potential.from_coeffs([0.0, 1.0])
@@ -150,6 +150,60 @@ def test_periodic_prediction_plateau():
     assert pred.value == pytest.approx(0.0, abs=1e-8)   # NN of zero potential
     (i,) = [j for j, t in enumerate(pred.terms) if t.kind == "NN"]
     assert i in pred.argmin
+
+
+def test_periodic_prediction_is_predict_limit_on_the_circle():
+    bump = build_profile(builtin("periodic_bump", 0.3, 2.0))
+    c = Potential.from_segments((0.0, 1.0), ((0.5, 2.0, -2.0),))  # c(0)=c(1)
+    assert periodic_prediction(bump, c) == predict_limit(
+        decompose_periodic(bump), c, PeriodicBC())
+
+
+# every builtin template with the boundary maxima of its local-maximum
+# set, or None when that set also holds an interior point or a plateau
+TEMPLATE_MAXIMA = {
+    "example1": ((0.15, 0.4, 0.6, 0.85), None),
+    "example2": ((0.3, 0.7), None),
+    "example3": ((0.35, 0.6), None),
+    "t1": ((0.15, 0.3, 0.45, 0.6, 0.8), None),
+    "t2": ((0.1, 0.25, 0.4, 0.55, 0.7, 0.85), None),
+    "monotone_increasing": ((), {1.0}),
+    "vee": ((0.5,), {0.0, 1.0}),
+    "power_max": ((0.5, 2), None),
+    "power_well": ((0.5, 2), {0.0, 1.0}),
+    "periodic_bump": ((0.25,), None),
+}
+FIVE_BCS = (RobinBC.neumann(), RobinBC.dirichlet(), RobinBC(1, 1, 1, 0),
+            RobinBC(1, 0, 1, 1), RobinBC(1, 1, 1, 1))
+
+
+def _paper_case(maxima, bc):
+    """(i-1) both ells > 0 and M subset {0,1}; (i-2) ell1 > 0 = ell2 and
+    M = {0}; (i-3) ell1 = 0 < ell2 and M = {1}; None when bounded."""
+    if maxima is None:
+        return None
+    if bc.ell1 > 0 and bc.ell2 > 0:
+        return "i-1"
+    if bc.ell1 > 0 and maxima == {0.0}:
+        return "i-2"
+    if bc.ell2 > 0 and maxima == {1.0}:
+        return "i-3"
+    return None
+
+
+@pytest.mark.parametrize("bc", FIVE_BCS, ids=lambda bc: "robin:%g,%g,%g,%g" % (
+    bc.hbar1, bc.ell1, bc.hbar2, bc.ell2))
+def test_prediction_and_trichotomy_agree(bc):
+    assert set(TEMPLATE_MAXIMA) == set(TEMPLATES)
+    c = Potential.from_coeffs([0.5, -1.0, 2.0])
+    for name, (params, maxima) in TEMPLATE_MAXIMA.items():
+        decomp = decompose(build_profile(builtin(name, *params)))
+        pred = predict_limit(decomp, c, bc)
+        verdict = boundedness(decomp, bc)
+        assert pred.finite == verdict.bounded, name
+        assert pred.case == verdict.case == _paper_case(maxima, bc), name
+        if pred.finite:
+            assert len(pred.terms) >= 1 and pred.argmin, name
 
 
 def test_periodic_preconditions():
