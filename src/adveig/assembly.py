@@ -176,8 +176,8 @@ def assemble_transformed(profile: AdvectionProfile, c: Potential,
     mirror at 1) keeps the boundary node; hbar = 0 ends drop it.  Under a
     PeriodicBC the operator is cyclic on the circle, n unknowns x_i = i/n.
     """
-    if s < 0:
-        raise ValidationError("s must be >= 0")
+    if not (math.isfinite(s) and s >= 0):
+        raise ValidationError("s must be finite and >= 0")
     if n < 16:
         raise ValidationError("transformed assembly needs n >= 16")
     if isinstance(bc, PeriodicBC):

@@ -52,9 +52,12 @@ def _emit_json(payload):
 
 def _number(text, convert=float):
     try:
-        return convert(text)
+        value = convert(text)
     except ValueError:
         raise MalformedSpec(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise MalformedSpec(f"not a finite number: {text!r}")
+    return value
 
 
 def _parse_template_arg(text):
@@ -318,7 +321,7 @@ def _add_profile_args(p, with_c=True):
 
 def _add_grid_args(p):
     policy = lab.DEFAULT_POLICY
-    p.add_argument("--grid-multiplier", type=float, default=None,
+    p.add_argument("--grid-multiplier", type=_number, default=None,
                    help="override the n(s) policy multiplier "
                         f"(default {policy.multiplier:g})")
     p.add_argument("--grid-floor", type=int, default=None,
@@ -344,7 +347,7 @@ def build_parser():
     p = sub.add_parser("solve", help="principal eigenvalue at one s")
     _add_profile_args(p)
     p.add_argument("--bc", required=True)
-    p.add_argument("--s", type=float, required=True)
+    p.add_argument("--s", type=_number, required=True)
     p.add_argument("--n", type=int, default=None, help="grid size override")
     p.add_argument("--dump-eigenfunction", metavar="FILE",
                    help="write the grid eigenfunction as x,w CSV")
@@ -383,8 +386,8 @@ _PARSER = build_parser()     # built once: it is reused by every call of main
 
 
 def main(argv=None):
-    args = _PARSER.parse_args(argv)
-    try:
+    try:   # --s and --grid-multiplier parse through _number
+        args = _PARSER.parse_args(argv)
         return args.func(args)
     except ValidationError as exc:
         sys.stderr.write(f"{exc.code}: {exc}\n")

@@ -1,12 +1,12 @@
 """Piecewise-polynomial advection profiles m and potentials c on [0,1].
 
 A profile is a C^2 piecewise polynomial with a verified per-segment sign
-of m'.  Verification is exact: each segment's derivative polynomial is
-classified over the open segment by Sturm-chain root counting of its
-odd-multiplicity part (rational arithmetic), so the monotonicity
-structure that the asymptotic theory consumes is machine-checked rather
-than assumed.  Degree is capped at 8 and transcendental profiles are
-out of scope by design.
+of m': every Bernstein coefficient of m' on the segment has the sign to
+within 1e-9 max|m'| there, after de Casteljau halving where they
+disagree (Lane & Riesenfeld 1981; Farouki & Rajan 1987).  So the
+monotonicity that the asymptotic theory consumes is machine-checked,
+and rounding at a double root of m' is no sign change.  Degree is
+capped at 8 and transcendental profiles are out of scope by design.
 
 Profiles and potentials share one structural check (_check_pieces) and
 one evaluator, PiecewisePoly.__call__(x, order, side): side picks the
@@ -23,8 +23,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
-from . import _poly
 from .errors import (BadParams, GloballyConstant, MalformedSpec, NotC2,
                      NotPeriodic, OutOfDomain, SignMismatch, UnknownTemplate,
                      ValidationError)
@@ -32,6 +32,8 @@ from .errors import (BadParams, GloballyConstant, MalformedSpec, NotC2,
 DEGREE_CAP = 8
 GLUE_TOL = 1e-12       # knot-matching tolerance, scaled by coefficient size
 _DOMAIN_SLACK = 1e-12
+_SIGN_TOL = 1e-9       # m' dips below _SIGN_TOL * max|m'| on a segment count as zero
+_SPLIT_DEPTH = 30      # de Casteljau halvings before a sign is called mixed
 
 SIGN_TAGS = {"increasing": 1, "decreasing": -1, "constant": 0}
 
@@ -52,6 +54,57 @@ def _check_pieces(knots, segments, what):
             raise MalformedSpec(f"{what} segment {i} exceeds degree cap {DEGREE_CAP}")
         if not all(math.isfinite(c) for c in seg):
             raise MalformedSpec(f"{what} segment {i} has non-finite coefficients")
+
+
+def _extrema_values(coeffs, width, what):
+    """Values of the polynomial at the ends of [0, width] and at its
+    interior critical points; MalformedSpec names `what` on overflow."""
+    c = np.asarray(coeffs, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = [float(P.polyval(0.0, c)), float(P.polyval(width, c))]
+        d = P.polyder(c)
+        if d.size and np.any(d != 0):
+            try:
+                roots = np.roots(d[::-1])
+            except np.linalg.LinAlgError:   # the companion matrix overflowed
+                raise MalformedSpec(f"{what} is not finite") from None
+            for r in roots:
+                if abs(r.imag) < 1e-12 and 0 < r.real < width:
+                    vals.append(float(P.polyval(r.real, c)))
+    if not all(map(math.isfinite, vals)):
+        raise MalformedSpec(f"{what} is not finite")
+    return vals
+
+
+def _at_least(b, floor, depth=0):
+    """Whether the polynomial with Bernstein coefficients b is >= floor:
+    all coefficients are (convex hull), or both de Casteljau halves are,
+    until an end value falls below floor or the depth cap is reached."""
+    if min(b) >= floor:
+        return True
+    if b[0] < floor or b[-1] < floor or depth == _SPLIT_DEPTH:
+        return False
+    left, right = [b[0]], [b[-1]]
+    while len(b) > 1:
+        b = [(p + q) / 2 for p, q in zip(b, b[1:])]
+        left.append(b[0])
+        right.append(b[-1])
+    return (_at_least(left, floor, depth + 1)
+            and _at_least(right[::-1], floor, depth + 1))
+
+
+def _sign(dp, width, scale):
+    """Sign tag of sum_k dp[k] t^k on [0, width], or 'mixed'.  Dips below
+    _SIGN_TOL * scale (scale = max|dp| there) count as zero."""
+    if not any(dp):
+        return "constant"
+    n = len(dp) - 1
+    a = [c * width ** k / math.comb(n, k) for k, c in enumerate(dp)]
+    b = [sum(math.comb(j, k) * a[k] for k in range(j + 1)) for j in range(n + 1)]
+    for tag, sign in (("increasing", 1), ("decreasing", -1)):
+        if _at_least([sign * v for v in b], -_SIGN_TOL * scale):
+            return tag
+    return "mixed"
 
 
 @dataclass(frozen=True)
@@ -92,9 +145,11 @@ class PiecewisePoly:
         # read-only across threads; orders past the degree are zero.
         # Row k of a table holds every segment's t^k coefficient, so
         # each Horner step gathers from one contiguous row.
+        # Overflow leaves inf in a table; build_profile rejects that.
         cache = [base]
-        for k in range(width - 1, 0, -1):
-            cache.append(cache[-1][1:] * np.arange(1, k + 1)[:, None])
+        with np.errstate(over="ignore"):
+            for k in range(width - 1, 0, -1):
+                cache.append(cache[-1][1:] * np.arange(1, k + 1)[:, None])
         cache.append(np.zeros((1, len(self.segments))))
         self._coef_cache = tuple(cache)
 
@@ -143,21 +198,19 @@ class PiecewisePoly:
             k = int(bad[:, j].argmax())
             raise NotC2(inner[j], k, jumps[k, j])
 
-    def range_values(self):
+    def range_values(self, name):
+        """(min, max) over [0, 1]; `name` ("m" or "c") labels overflow."""
         vals = []
         for i, seg in enumerate(self.segments):
-            vals.extend(_poly.poly_extrema_values(seg, self.widths[i]))
+            vals.extend(_extrema_values(seg, self.widths[i],
+                                        f"{name} on segment {i}"))
         return min(vals), max(vals)
-
-    def max_abs_deriv(self):
-        return max(_poly.poly_max_abs(_poly.deriv(list(seg)), w)
-                   if len(seg) > 1 else 0.0
-                   for seg, w in zip(self.segments, self.widths))
 
 
 @dataclass(frozen=True)
 class AdvectionProfile:
-    """Validated advection profile with exact sign signature of m'."""
+    """Validated advection profile with the certified sign signature of
+    m' (see build_profile)."""
     spec: ProfileSpec
     sign_signature: tuple        # per segment, in {+1, -1, 0}
     global_range: tuple          # (min m, max m) over [0,1]
@@ -189,8 +242,9 @@ class Potential:
         segments = tuple(tuple(float(c) for c in s) for s in segments)
         _check_pieces(knots, segments, "potential")
         pp = PiecewisePoly(knots, segments)
+        rng = pp.range_values("c")
         pp.check_continuity(0)
-        return Potential(knots, segments, pp, pp.range_values())
+        return Potential(knots, segments, pp, rng)
 
     @staticmethod
     def constant(value):
@@ -262,36 +316,30 @@ class PeriodicBC:
 def build_profile(spec: ProfileSpec) -> AdvectionProfile:
     """Validate a spec and return the profile.
 
-    Checks, in order: structural well-formedness, C^2 gluing at every
-    interior knot (absolute tolerance 1e-12 on m, m', m''), exact
-    per-segment sign verification against the declared tags, and
-    non-constancy.  Raises MalformedSpec / NotC2 / SignMismatch /
-    GloballyConstant accordingly.
+    Checks, in order: structural well-formedness, finite derivatives,
+    range and max|m'|, C^2 gluing at every interior knot (absolute
+    tolerance 1e-12 on m, m', m''), each segment's certified sign of m'
+    (_sign) against its declared tag, and non-constancy.  Raises
+    MalformedSpec / NotC2 / SignMismatch / GloballyConstant accordingly.
     """
     spec.validate_structure()
     pp = PiecewisePoly(spec.knots, spec.segments)
+    finite = np.isfinite(np.concatenate(pp._coef_cache)).all(axis=0)
+    if not finite.all():
+        raise MalformedSpec(f"profile segment {finite.argmin()} has non-finite derivatives")
+    global_range = pp.range_values("m")
+    derivs = [[k * c for k, c in enumerate(seg)][1:] for seg in spec.segments]
+    scales = [max(abs(v) for v in _extrema_values(dp, w, f"m' on segment {i}"))
+              if dp else 0.0
+              for i, (dp, w) in enumerate(zip(derivs, pp.widths))]
     pp.check_continuity(2)
 
     signature = []
-    for i, seg in enumerate(spec.segments):
-        dp = _poly.deriv([float(c) for c in seg])
-        width = spec.knots[i + 1] - spec.knots[i]
-        verified = _poly.sign_on_open_interval(dp, width)
-        if verified == "mixed":
-            # Coefficient rounding splits exact even-order roots of the
-            # derivative into sign dips of O(eps) relative size (the
-            # quintic ramps hit this).  A dip is only a genuine sign
-            # change when it is non-negligible against the segment scale.
-            vals = _poly.poly_extrema_values(dp, width)
-            lo, hi = min(vals), max(vals)
-            if abs(lo) <= 1e-9 * hi:
-                verified = "+"
-            elif hi <= 1e-9 * abs(lo):
-                verified = "-"
+    for i, dp in enumerate(derivs):
+        verified = _sign(dp, spec.knots[i + 1] - spec.knots[i], scales[i])
         declared = spec.declared_signs[i]
-        expected = {"+": "increasing", "-": "decreasing", "0": "constant"}.get(verified, "mixed")
-        if expected != declared:
-            raise SignMismatch(i, declared, expected)
+        if verified != declared:
+            raise SignMismatch(i, declared, verified)
         signature.append(SIGN_TAGS[declared])
 
     if all(s == 0 for s in signature):
@@ -300,8 +348,8 @@ def build_profile(spec: ProfileSpec) -> AdvectionProfile:
     return AdvectionProfile(
         spec=spec,
         sign_signature=tuple(signature),
-        global_range=pp.range_values(),
-        max_abs_deriv=pp.max_abs_deriv(),
+        global_range=global_range,
+        max_abs_deriv=max(scales),
         _poly=pp,
     )
 

@@ -273,6 +273,9 @@ def test_validation_errors():
     prof = build_profile(builtin("vee", 0.5))
     with pytest.raises(ValidationError):
         assemble_transformed(prof, C0, RobinBC.neumann(), -1.0, 100)
+    for s in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="finite"):
+            assemble_transformed(prof, C0, RobinBC.neumann(), s, 100)
     with pytest.raises(ValidationError):
         assemble_transformed(prof, C0, RobinBC.neumann(), 1.0, 8)
     with pytest.raises(ValidationError):

@@ -119,6 +119,28 @@ def test_malformed_numbers_exit_2(tmp_path, capsys):
         assert (code, err.split(":")[0]) == (2, "MalformedSpec"), argv
 
 
+def test_non_finite_numbers_exit_2(tmp_path, capsys):
+    common = ("--template", "vee:0.5", "--bc", "robin:1,0,1,0")
+    cases = [
+        ("solve", *common, "--s", "nan"),
+        ("solve", *common, "--s", "inf"),
+        ("sweep", *common, "--ladder", "nan"),
+        ("sweep", *common, "--ladder", "1,nan,3"),
+        ("sweep", *common, "--ladder", "1,3", "--grid-multiplier", "nan"),
+    ]
+    for argv in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("MalformedSpec: not a finite number"), argv
+    # a finite spec whose derivative overflows is malformed too
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"knots": [0.0, 1.0], "segments": [
+        {"coeffs": [0.0, 1.7e308, -1e308], "sign": "increasing"}]}))
+    code, out, err = run_cli(capsys, "classify", "--profile", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("MalformedSpec:")
+
+
 def test_template_and_profile_together_exit_2(tmp_path, capsys):
     path = tmp_path / "prof.json"
     path.write_text(json.dumps({"template": {"name": "vee", "params": [0.5]}}))

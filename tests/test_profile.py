@@ -147,10 +147,40 @@ def test_increasing_accepts_even_multiplicity_interior_zeros():
     m = tuple(P.polyint(dp))
     prof = build_profile(ProfileSpec((0.0, 1.0), (m,), ("increasing",)))
     assert prof.sign_signature == (1,)
-    # while a simple interior root (genuine sign change) is rejected
-    m_bad = tuple(P.polyint(P.polyfromroots([0.5])))
-    with pytest.raises(SignMismatch):
-        build_profile(ProfileSpec((0.0, 1.0), (m_bad,), ("increasing",)))
+    # while a simple or triple interior root (genuine sign change) is
+    # rejected
+    for roots in ([0.5], [0.5, 0.5, 0.5]):
+        m_bad = tuple(P.polyint(P.polyfromroots(roots)))
+        with pytest.raises(SignMismatch) as err:
+            build_profile(ProfileSpec((0.0, 1.0), (m_bad,), ("increasing",)))
+        assert err.value.verified == "mixed"
+    # m' = (t - 0.5)^2 - dip, max|m'| ~ 0.25: a dip of 1e-6 relative is a
+    # sign change, one of 1e-12 relative is rounding-level and passes
+    for rel, ok in ((1e-6, False), (1e-12, True)):
+        dp = P.polysub(P.polyfromroots([0.5, 0.5]), [0.25 * rel])
+        spec = ProfileSpec((0.0, 1.0), (tuple(P.polyint(dp)),), ("increasing",))
+        if ok:
+            assert build_profile(spec).sign_signature == (1,)
+        else:
+            with pytest.raises(SignMismatch):
+                build_profile(spec)
+    # the degree cap: m' vanishes to order 7 at the knot
+    assert build_profile(builtin("power_max", 0.5, 8)).sign_signature == (1, -1)
+    assert build_profile(builtin("power_well", 0.5, 7)).sign_signature == (-1, 1)
+
+
+@pytest.mark.parametrize("coeffs, message", [
+    ((0.0, 1.7e308, -1e308), "profile segment 0 has non-finite derivatives"),
+    ((1.7e308, 1.7e308), "m on segment 0 is not finite"),
+    ((0.0, 0.9e308, 0.45e308), "m' on segment 0 is not finite"),
+    ((0.0, 1.0, 1.0, 1e-320), "m on segment 0 is not finite"),   # np.roots
+])
+def test_overflowing_spec_is_malformed(coeffs, message):
+    # finite coefficients whose derivative, range or max|m'| overflow;
+    # warnings are errors under pytest, so none may be emitted either
+    spec = ProfileSpec((0.0, 1.0), (coeffs,), ("increasing",))
+    with pytest.raises(MalformedSpec, match=message):
+        build_profile(spec)
 
 
 def test_sign_signature_affine_invariance():
@@ -219,6 +249,9 @@ def test_potential_validation():
     assert pot.range == pytest.approx((0.0, 1.0))
     with pytest.raises(OutOfDomain):
         pot(-0.1)
+    # c overflows at the knot: its range is checked before the glue
+    with pytest.raises(MalformedSpec, match="c on segment 0 is not finite"):
+        Potential.from_segments((0.0, 0.5, 1.0), ((1.5e308,) * 3, (1.0,)))
 
 
 def test_robin_bc_validation():
@@ -246,3 +279,7 @@ def test_global_range_and_max_deriv():
     assert lo == pytest.approx(0.0)
     assert hi == pytest.approx(0.25)
     assert prof.max_abs_deriv == pytest.approx(1.0)
+    # pinned bit for bit: the quintic ramps' maxima and max|m'|
+    t1 = build_profile(builtin("t1", 0.15, 0.3, 0.45, 0.6, 0.8))
+    assert t1.global_range == (0.0, float.fromhex("0x1.000000000000ap-1"))
+    assert t1.max_abs_deriv == float.fromhex("0x1.9000000000006p+2")
