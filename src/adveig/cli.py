@@ -66,7 +66,8 @@ def _parse_template_arg(text):
 
 
 def _load_inputs(args):
-    """(profile, potential) from --template/--profile plus --c."""
+    """(profile, potential) from --template/--profile plus --c.  The
+    potential defaults to zero only for subcommands that take --c."""
     potential = None
     if args.template:
         spec = _parse_template_arg(args.template)
@@ -75,11 +76,11 @@ def _load_inputs(args):
     else:
         raise MalformedSpec("need --template NAME[:p1,p2,...] or --profile FILE")
     profile = build_profile(spec)
-    c_arg = getattr(args, "c", None)
-    if c_arg:
-        potential = _parse_potential_arg(c_arg)
-    if potential is None:
-        potential = Potential.zero()
+    if hasattr(args, "c"):
+        if args.c:
+            potential = _parse_potential_arg(args.c)
+        if potential is None:
+            potential = Potential.zero()
     return profile, potential
 
 

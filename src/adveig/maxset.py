@@ -74,14 +74,14 @@ class MaxSetDecomposition:
 
 
 def _sign_runs(profile: AdvectionProfile):
-    """Merge adjacent equal-sign segments into (sign, lo, hi) runs."""
-    knots = profile.knots
+    """Merge adjacent equal-sign segments into (sign, lo, hi) runs, with
+    lo and hi knot indices."""
     runs = []
     for i, sign in enumerate(profile.sign_signature):
         if runs and runs[-1][0] == sign:
-            runs[-1] = (sign, runs[-1][1], float(knots[i + 1]))
+            runs[-1] = (sign, runs[-1][1], i + 1)
         else:
-            runs.append((sign, float(knots[i]), float(knots[i + 1])))
+            runs.append((sign, i, i + 1))
     return runs
 
 
@@ -96,13 +96,14 @@ def _zero_tol(profile):
     return 1e-9 * max(1.0, profile.coefficient_scale())
 
 
-def _sloped(profile, x, position, tol):
-    """m'(x) != 0 on some side of x that exists."""
-    return any(abs(profile(x, 1, s)) > tol for s in _SIDES[position])
+def _sloped(profile, i, position, tol):
+    """m' != 0 at knot i on some side that exists."""
+    return any(abs(profile.knot_values(i, s)[1]) > tol for s in _SIDES[position])
 
 
-def _kstar_at(profile: AdvectionProfile, x, position):
-    """(k*, m^(k*)) if defined at an isolated maximum, else (None, None).
+def _kstar_at(profile: AdvectionProfile, i, position):
+    """(k*, m^(k*)) if defined at an isolated maximum at knot i, else
+    (None, None).
 
     Interior points need the left/right derivative sequences to agree
     through the first nonzero order; at a domain boundary only the
@@ -110,10 +111,11 @@ def _kstar_at(profile: AdvectionProfile, x, position):
     leaves k* undefined since the definition starts from m'(x) = 0.
     """
     tol = _zero_tol(profile)
-    if _sloped(profile, x, position, tol):
+    if _sloped(profile, i, position, tol):
         return None, None
+    sides = [profile.knot_values(i, s) for s in _SIDES[position]]
     for k in range(2, DEGREE_CAP + 1):
-        vals = [profile(x, k, s) for s in _SIDES[position]]
+        vals = [seq[k] for seq in sides]
         if len(vals) == 2 and abs(vals[0] - vals[1]) > tol * max(1.0, abs(vals[0]), abs(vals[1])):
             return None, None   # genuine junction: higher derivatives disagree
         if abs(vals[0]) > tol:
@@ -124,26 +126,28 @@ def _kstar_at(profile: AdvectionProfile, x, position):
 def decompose(profile: AdvectionProfile) -> MaxSetDecomposition:
     """Local-maximum set of a validated profile as M1..M9 components."""
     runs = _sign_runs(profile)
+    knots = profile.knots.tolist()
     isolated = []
     segments = []
 
     # boundary isolated maxima: 0 if m decreases immediately to its right,
     # 1 if m increases immediately to its left
     if runs[0][0] == -1:
-        k, mk = _kstar_at(profile, 0.0, LEFT_BOUNDARY)
+        k, mk = _kstar_at(profile, 0, LEFT_BOUNDARY)
         isolated.append(IsolatedMax(0.0, LEFT_BOUNDARY, k, mk))
     if runs[-1][0] == 1:
-        k, mk = _kstar_at(profile, 1.0, RIGHT_BOUNDARY)
+        k, mk = _kstar_at(profile, len(knots) - 1, RIGHT_BOUNDARY)
         isolated.append(IsolatedMax(1.0, RIGHT_BOUNDARY, k, mk))
 
     for i, (sign, lo, hi) in enumerate(runs):
         if sign == 0:
             left = runs[i - 1][0] if i > 0 else None
             right = runs[i + 1][0] if i + 1 < len(runs) else None
-            segments.append(SegmentMax(lo, hi, _PLATEAU_CLASS[(left, right)]))
+            segments.append(SegmentMax(knots[lo], knots[hi],
+                                       _PLATEAU_CLASS[(left, right)]))
         elif sign == 1 and i + 1 < len(runs) and runs[i + 1][0] == -1:
             k, mk = _kstar_at(profile, hi, INTERIOR)
-            isolated.append(IsolatedMax(hi, INTERIOR, k, mk))
+            isolated.append(IsolatedMax(knots[hi], INTERIOR, k, mk))
 
     isolated.sort(key=lambda p: p.x)
     return MaxSetDecomposition(tuple(isolated), tuple(segments))
@@ -157,7 +161,7 @@ def decompose_periodic(profile: AdvectionProfile) -> MaxSetDecomposition:
     would report at 1 is dropped; boundary plateau classes cannot occur
     and are rejected defensively.
     """
-    if profile(0.0, 1, "right") <= 0:
+    if profile.knot_values(0)[1] <= 0:
         raise PreconditionViolated("periodic decomposition requires m'(0) > 0")
     decomp = decompose(profile)
     if decomp.boundary_segments():
@@ -185,7 +189,8 @@ def degeneracy_order(profile: AdvectionProfile, x0: float):
     if point.k_star is not None:
         return point.k_star, point.m_kstar
     # distinguish "undefined because junction" from "m' != 0 at boundary"
-    if _sloped(profile, point.x, point.position, _zero_tol(profile)):
+    knot = profile.knots.tolist().index(point.x)
+    if _sloped(profile, knot, point.position, _zero_tol(profile)):
         raise AtSegmentJunction(
             f"m'({x0}) != 0: degeneracy order starts at k >= 2")
     raise AtSegmentJunction(

@@ -10,8 +10,12 @@ capped at 8 and transcendental profiles are out of scope by design.
 
 Profiles and potentials share one structural check (_check_pieces) and
 one evaluator, PiecewisePoly.__call__(x, order, side): side picks the
-piece at an interior knot, so one-sided derivatives, the C^k glue check
-and the periodic wrap check all evaluate through the same Horner steps.
+piece at an interior knot.  At construction PiecewisePoly also fills the
+knot tables, every derivative order at both ends of every segment, so
+one-sided derivatives at knots, the C^k glue check and the periodic wrap
+check are lookups.  Ranges and max|m'| take the end values and the
+interior critical points, found for all segments at once from np.roots'
+companion matrices (_critical_values).
 
 Everything here is immutable after construction and safe to share.
 """
@@ -23,7 +27,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .errors import (BadParams, GloballyConstant, MalformedSpec, NotC2,
                      NotPeriodic, OutOfDomain, SignMismatch, UnknownTemplate,
@@ -56,24 +59,59 @@ def _check_pieces(knots, segments, what):
             raise MalformedSpec(f"{what} segment {i} has non-finite coefficients")
 
 
-def _extrema_values(coeffs, width, what):
-    """Values of the polynomial at the ends of [0, width] and at its
-    interior critical points; MalformedSpec names `what` on overflow."""
-    c = np.asarray(coeffs, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = [float(P.polyval(0.0, c)), float(P.polyval(width, c))]
-        d = P.polyder(c)
-        if d.size and np.any(d != 0):
+def _critical_values(pp, order, what):
+    """Per-segment (min, max) of the order-th derivative over the segment's
+    two ends and its interior critical points; MalformedSpec names `what`
+    and the first segment where a value is not finite.
+
+    The ends come from the knot tables.  The critical points are the real
+    roots in (0, width) of the next derivative, from the companion
+    matrices np.roots would build (zero coefficients stripped at both
+    ends), one eigvals call per degree; all of them are then evaluated in
+    one gathered Horner call that rounds like polyval.
+    """
+    deriv = pp._coef_cache[order + 1]
+    nonzero = deriv != 0
+    low = nonzero.argmax(axis=0)
+    high = len(deriv) - 1 - nonzero[::-1].argmax(axis=0)
+    degree = np.where(nonzero.any(axis=0), high - low, 0)
+    bad = np.zeros(len(degree), dtype=bool)
+    segs, roots = [], []
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for d in sorted(set(degree.tolist()) - {0}):
+            group = np.nonzero(degree == d)[0]
+            top, col = high[group][:, None], group[:, None]
+            comp = np.zeros((group.size, d, d))
+            comp[:, 0] = -deriv[top - np.arange(1, d + 1), col] / deriv[top, col]
+            comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
             try:
-                roots = np.roots(d[::-1])
-            except np.linalg.LinAlgError:   # the companion matrix overflowed
-                raise MalformedSpec(f"{what} is not finite") from None
-            for r in roots:
-                if abs(r.imag) < 1e-12 and 0 < r.real < width:
-                    vals.append(float(P.polyval(r.real, c)))
-    if not all(map(math.isfinite, vals)):
-        raise MalformedSpec(f"{what} is not finite")
-    return vals
+                w = np.linalg.eigvals(comp)
+            except np.linalg.LinAlgError:   # overflow or no convergence somewhere
+                w = np.full((group.size, d), np.nan, dtype=complex)
+                for j, a in enumerate(comp):
+                    try:
+                        w[j] = np.linalg.eigvals(a)
+                    except np.linalg.LinAlgError:
+                        bad[group[j]] = True
+            re = w.real
+            rows, cols = np.nonzero((np.abs(w.imag) < 1e-12) & (0 < re)
+                                    & (re < pp.widths[group][:, None]))
+            segs.append(group[rows])
+            roots.append(re[rows, cols])
+        lo = np.minimum(pp.left_ends[order], pp.right_ends[order])
+        hi = np.maximum(pp.left_ends[order], pp.right_ends[order])
+        if segs:
+            idx, x = np.concatenate(segs), np.concatenate(roots)
+            acc = np.zeros(x.size)
+            for row in pp._coef_cache[order][::-1, idx]:
+                acc *= x
+                acc += row
+            np.minimum.at(lo, idx, acc)
+            np.maximum.at(hi, idx, acc)
+    bad |= ~(np.isfinite(lo) & np.isfinite(hi))
+    if bad.any():
+        raise MalformedSpec(f"{what} on segment {bad.argmax()} is not finite")
+    return lo, hi
 
 
 def _at_least(b, floor, depth=0):
@@ -135,23 +173,38 @@ class PiecewisePoly:
 
     def __init__(self, knots, segments):
         self.knots = np.asarray(knots, dtype=float)
-        self.segments = [np.asarray(seg, dtype=float) for seg in segments]
-        self.widths = np.diff(self.knots)
-        width = max(len(s) for s in self.segments)
-        base = np.zeros((width, len(self.segments)))
-        for i, seg in enumerate(self.segments):
-            base[:len(seg), i] = seg
-        # every derivative order, filled once: the object is shared
-        # read-only across threads; orders past the degree are zero.
-        # Row k of a table holds every segment's t^k coefficient, so
-        # each Horner step gathers from one contiguous row.
-        # Overflow leaves inf in a table; build_profile rejects that.
-        cache = [base]
-        with np.errstate(over="ignore"):
-            for k in range(width - 1, 0, -1):
-                cache.append(cache[-1][1:] * np.arange(1, k + 1)[:, None])
-        cache.append(np.zeros((1, len(self.segments))))
-        self._coef_cache = tuple(cache)
+        self.widths = self.knots[1:] - self.knots[:-1]
+        width = max(len(s) for s in segments)
+        orders = DEGREE_CAP + 2
+        # every derivative order through DEGREE_CAP + 1, filled once: the
+        # object is shared read-only across threads; orders past the
+        # degree are zero.  In table k of _coefs, row p holds every
+        # segment's t^p coefficient, so each Horner step gathers from one
+        # contiguous row; _coef_cache[k] is table k without its zero top
+        # rows.  Overflow leaves inf in a table; build_profile rejects that.
+        table = np.zeros((orders, width, len(segments)))
+        for i, seg in enumerate(segments):
+            table[0, :len(seg), i] = seg
+        powers = np.arange(1.0, width)[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(1, width):
+                table[k, :width - k] = table[k - 1, 1:width - k + 1] * powers[:width - k]
+            # knot tables, (orders, segments): every derivative at t = 0
+            # (left_ends) and t = width (right_ends) of each segment, in
+            # one Horner pass over all orders that starts from zero, as
+            # polyval does
+            t = np.zeros((2, len(segments)))
+            t[1] = self.widths
+            acc = np.zeros((orders,) + t.shape)
+            for p in range(width - 1, -1, -1):
+                acc *= t
+                acc += table[:, None, p]
+        self._coefs = table
+        self._coef_cache = (tuple(table[k, :width - k] for k in range(width))
+                            + (table[width, :1],) * (orders - width))
+        self.left_ends, self.right_ends = acc[:, 0], acc[:, 1]
+        self.sizes = np.abs(table[0]).max(axis=0)   # max |coefficient| per segment
+        self.scale = float(self.sizes.max())
 
     def __call__(self, x, order=0, side="right"):
         """Evaluate the order-th derivative at x (scalar or array).
@@ -178,6 +231,18 @@ class PiecewisePoly:
             acc += row[idx]
         return float(acc[0]) if scalar else acc
 
+    def knot_values(self, i, side="right"):
+        """Derivatives of orders 0..DEGREE_CAP + 1 at knots[i], the values
+        __call__(knots[i], order, side) gives, read from the knot tables."""
+        if (side == "left" and i > 0) or i == len(self.widths):
+            return self.right_ends[:, i - 1].tolist()
+        return self.left_ends[:, i].tolist()
+
+    def wrap_jumps(self, up_to_order):
+        """|f^(k)(0) - f^(k)(1)| for k = 0..up_to_order."""
+        return np.abs(self.left_ends[:up_to_order + 1, 0]
+                      - self.right_ends[:up_to_order + 1, -1])
+
     def check_continuity(self, up_to_order):
         """Raise NotC2 for the first interior knot, and there the lowest
         order, at which the two one-sided derivatives differ."""
@@ -185,26 +250,21 @@ class PiecewisePoly:
         # rounding of O(scale) coefficients already produces O(scale*eps)
         # mismatches, so a bare 1e-12 would reject exact-arithmetic-C2
         # specs (e.g. steep quintic ramps)
-        inner = self.knots[1:-1]
-        if inner.size == 0:
+        if len(self.widths) < 2:
             return
-        size = np.array([np.abs(seg).max() for seg in self.segments])
-        tol = GLUE_TOL * np.maximum(1.0, np.maximum(size[:-1], size[1:]))
-        jumps = np.array([np.abs(self(inner, k, "left") - self(inner, k, "right"))
-                          for k in range(up_to_order + 1)])
+        tol = GLUE_TOL * np.maximum(1.0, np.maximum(self.sizes[:-1], self.sizes[1:]))
+        jumps = np.abs(self.right_ends[:up_to_order + 1, :-1]
+                       - self.left_ends[:up_to_order + 1, 1:])
         bad = jumps > tol
         if bad.any():
             j = int(bad.any(axis=0).argmax())
             k = int(bad[:, j].argmax())
-            raise NotC2(inner[j], k, jumps[k, j])
+            raise NotC2(self.knots[j + 1], k, jumps[k, j])
 
     def range_values(self, name):
         """(min, max) over [0, 1]; `name` ("m" or "c") labels overflow."""
-        vals = []
-        for i, seg in enumerate(self.segments):
-            vals.extend(_extrema_values(seg, self.widths[i],
-                                        f"{name} on segment {i}"))
-        return min(vals), max(vals)
+        lo, hi = _critical_values(self, 0, name)
+        return float(lo.min()), float(hi.max())
 
 
 @dataclass(frozen=True)
@@ -224,8 +284,11 @@ class AdvectionProfile:
     def __call__(self, x, order=0, side="right"):
         return self._poly(x, order, side)
 
+    def knot_values(self, i, side="right"):
+        return self._poly.knot_values(i, side)
+
     def coefficient_scale(self):
-        return max(max(abs(c) for c in seg) for seg in self.spec.segments)
+        return self._poly.scale
 
 
 @dataclass(frozen=True)
@@ -297,18 +360,12 @@ class RobinBC:
 @dataclass(frozen=True)
 class PeriodicBC:
     def validate(self, profile, potential):
-        # 0 and 1 are no interior knots: one call per order serves both ends
-        ends = np.array([0.0, 1.0])
         tol = GLUE_TOL * max(1.0, profile.coefficient_scale())
-        for order in range(3):
-            a, b = profile(ends, order)
-            if abs(a - b) > tol:
-                raise NotPeriodic(
-                    f"m^({order}) wrap mismatch {abs(a - b):.3e} at 0/1")
-        if potential is not None:
-            a, b = potential(ends)
-            if abs(a - b) > GLUE_TOL:
-                raise NotPeriodic("c(0) != c(1)")
+        for order, jump in enumerate(profile._poly.wrap_jumps(2)):
+            if jump > tol:
+                raise NotPeriodic(f"m^({order}) wrap mismatch {jump:.3e} at 0/1")
+        if potential is not None and potential._poly.wrap_jumps(0)[0] > GLUE_TOL:
+            raise NotPeriodic("c(0) != c(1)")
 
 
 # -- construction ---------------------------------------------------------
@@ -324,19 +381,19 @@ def build_profile(spec: ProfileSpec) -> AdvectionProfile:
     """
     spec.validate_structure()
     pp = PiecewisePoly(spec.knots, spec.segments)
-    finite = np.isfinite(np.concatenate(pp._coef_cache)).all(axis=0)
+    finite = np.isfinite(pp._coefs).all(axis=(0, 1))
     if not finite.all():
         raise MalformedSpec(f"profile segment {finite.argmin()} has non-finite derivatives")
     global_range = pp.range_values("m")
-    derivs = [[k * c for k, c in enumerate(seg)][1:] for seg in spec.segments]
-    scales = [max(abs(v) for v in _extrema_values(dp, w, f"m' on segment {i}"))
-              if dp else 0.0
-              for i, (dp, w) in enumerate(zip(derivs, pp.widths))]
+    lo, hi = _critical_values(pp, 1, "m'")
+    scales = np.maximum(np.abs(lo), np.abs(hi)).tolist()
     pp.check_continuity(2)
 
     signature = []
-    for i, dp in enumerate(derivs):
-        verified = _sign(dp, spec.knots[i + 1] - spec.knots[i], scales[i])
+    widths = pp.widths.tolist()
+    for i, seg in enumerate(spec.segments):
+        dp = pp._coef_cache[1][:len(seg) - 1, i].tolist()
+        verified = _sign(dp, widths[i], scales[i])
         declared = spec.declared_signs[i]
         if verified != declared:
             raise SignMismatch(i, declared, verified)

@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 from adveig.errors import (BadParams, GloballyConstant, MalformedSpec, NotC2,
                            NotPeriodic, OutOfDomain, SignMismatch,
                            UnknownTemplate, ValidationError)
-from adveig.profile import (PeriodicBC, Potential, ProfileSpec, RobinBC,
-                            TEMPLATES, build_profile, builtin,
-                            profile_from_dict, spec_to_dict)
+from adveig.profile import (DEGREE_CAP, PeriodicBC, PiecewisePoly, Potential,
+                            ProfileSpec, RobinBC, TEMPLATES, build_profile,
+                            builtin, profile_from_dict, spec_to_dict,
+                            _critical_values)
 from conftest import scale_spec
 
 
@@ -181,6 +182,31 @@ def test_overflowing_spec_is_malformed(coeffs, message):
     spec = ProfileSpec((0.0, 1.0), (coeffs,), ("increasing",))
     with pytest.raises(MalformedSpec, match=message):
         build_profile(spec)
+    # the companion matrices of equal degree share one eigvals call; an
+    # overflowing one must still be named by its own segment
+    knots, segs = (0.0, 0.5, 1.0), ((0.0, 1.0, 1.0, 1.0), (0.0, 1.0, 1.0, 1e-320))
+    with pytest.raises(MalformedSpec, match="m on segment 1 is not finite"):
+        build_profile(ProfileSpec(knots, segs, ("increasing",) * 2))
+    with pytest.raises(MalformedSpec, match="c on segment 1 is not finite"):
+        Potential.from_segments(knots, segs)
+
+
+def test_failing_eigvals_call_names_its_segment(monkeypatch):
+    # both segments' m' companions are 2x2 and share one eigvals call;
+    # when that call raises, the segment whose matrix fails is named
+    real = np.linalg.eigvals
+
+    def eigvals(a):
+        if (np.asarray(a)[..., 0, 0] == -2.0).any():   # m' = (1 + t)^2
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    spec = ProfileSpec((0.0, 0.5, 1.0),
+                       ((0.0, 1.0, 0.5, 1.0 / 3.0), (0.0, 1.0, 1.0, 1.0 / 3.0)),
+                       ("increasing",) * 2)
+    with pytest.raises(MalformedSpec, match="m on segment 1 is not finite"):
+        build_profile(spec)
 
 
 def test_sign_signature_affine_invariance():
@@ -283,3 +309,61 @@ def test_global_range_and_max_deriv():
     t1 = build_profile(builtin("t1", 0.15, 0.3, 0.45, 0.6, 0.8))
     assert t1.global_range == (0.0, float.fromhex("0x1.000000000000ap-1"))
     assert t1.max_abs_deriv == float.fromhex("0x1.9000000000006p+2")
+    pm = build_profile(builtin("power_max", 0.5, 6))
+    assert pm.global_range == (float.fromhex("-0x1.0000000000000p-6"),
+                               float.fromhex("0x1.0000000000000p-55"))
+    assert pm.max_abs_deriv == float.fromhex("0x1.8000000000000p-3")
+    bump = build_profile(builtin("periodic_bump", 0.3, 2))
+    assert bump.global_range == (0.0, float.fromhex("0x1.0000000000000p-3"))
+    assert bump.max_abs_deriv == float.fromhex("0x1.8a2345cc04426p-2")
+
+
+# constant, quadratic, generic quintic, m' = 2t + 3t^2 (a zero constant
+# term) and m = -t^4 (m' has only zero roots): companion degrees 0..4,
+# zero coefficients stripped at both ends and segments of unequal length
+_MIXED = ((0.0, 0.2, 0.4, 0.6, 0.8, 1.0),
+          ((1.0,), (0.5, -1.0, 3.0), (0.1, 2.0, -7.0, 5.0, 30.0, -60.0),
+           (0.0, 0.0, 1.0, 1.0), (0.0, 0.0, 0.0, 0.0, -1.0)))
+
+_TEMPLATE_PARAMS = {
+    "example1": (0.2, 0.4, 0.6, 0.8), "example2": (0.3, 0.6),
+    "example3": (0.35, 0.6), "t1": (0.15, 0.3, 0.45, 0.6, 0.8),
+    "t2": (0.1, 0.25, 0.4, 0.55, 0.7, 0.85), "monotone_increasing": (),
+    "vee": (0.4,), "power_max": (0.5, 6), "power_well": (0.45, 3),
+    "periodic_bump": (0.3, 2),
+}
+
+
+def _pieces():
+    for name in TEMPLATES:
+        spec = builtin(name, *_TEMPLATE_PARAMS[name])
+        yield name, build_profile(spec)._poly
+    yield "mixed", PiecewisePoly(*_MIXED)
+
+
+def test_knot_tables_equal_evaluation_at_knots():
+    for name, pp in _pieces():
+        for k in range(DEGREE_CAP + 2):
+            for side in ("left", "right"):
+                want = pp(pp.knots, k, side)
+                got = np.array([pp.knot_values(i, side)[k]
+                                for i in range(len(pp.knots))])
+                assert got.tobytes() == want.tobytes(), (name, k, side)
+
+
+def test_ranges_equal_per_segment_np_roots():
+    # the batched critical-point search returns what np.roots and polyval
+    # give one segment at a time, bit for bit
+    from numpy.polynomial import polynomial as poly
+    for name, pp in _pieces():
+        for order in (0, 1):
+            want = []
+            for i, w in enumerate(pp.widths):
+                c = pp._coef_cache[order][:, i]
+                d = poly.polyder(c)
+                xs = [0.0, w] + [r.real for r in np.roots(d[::-1])
+                                 if abs(r.imag) < 1e-12 and 0 < r.real < w]
+                want.append([poly.polyval(x, c) for x in xs])
+            lo, hi = _critical_values(pp, order, "m")
+            assert lo.tolist() == [min(v) for v in want], (name, order)
+            assert hi.tolist() == [max(v) for v in want], (name, order)
