@@ -177,7 +177,8 @@ def growth_exponent(records) -> float:
 
 
 def mass_distribution(x, w, intervals):
-    """Trapezoid-rule mass of w^2 on each interval (w on grid x)."""
+    """Trapezoid-rule mass of w^2 on each interval (w on the non-decreasing
+    grid x): the nodes strictly inside, and w interpolated at the ends."""
     x = np.asarray(x, dtype=float)
     w = np.asarray(w, dtype=float)
     out = []
@@ -186,9 +187,10 @@ def mass_distribution(x, w, intervals):
         if lo > hi or lo < x[0] - tol or hi > x[-1] + tol:
             raise IntervalOutOfDomain(f"[{lo}, {hi}] outside [{x[0]}, {x[-1]}]")
         lo, hi = max(lo, x[0]), min(hi, x[-1])
-        inside = x[(x > lo) & (x < hi)]
-        xs = np.concatenate(([lo], inside, [hi]))
-        ws = np.interp(xs, x, w)
+        i, j = np.searchsorted(x, lo, side="right"), np.searchsorted(x, hi, side="left")
+        w_lo, w_hi = np.interp((lo, hi), x, w)
+        xs = np.concatenate(([lo], x[i:j], [hi]))
+        ws = np.concatenate(([w_lo], w[i:j], [w_hi]))
         out.append(float(np.trapezoid(ws ** 2, xs)))
     return out
 

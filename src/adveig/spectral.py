@@ -2,15 +2,16 @@
 optionally with a cyclic corner coupling entries 1 and n.
 
 One shift-and-certify loop serves both kinds, built on two facts
-(Parlett, The Symmetric Eigenvalue Problem): a banded Cholesky of
-T - sigma I succeeds exactly when sigma lies below the smallest
-eigenvalue (Sylvester inertia), and every Rayleigh quotient lies at or
-above it.  A cyclic corner enters as a rank-one Sherman-Morrison term,
-solved as a second right-hand side of the same factorization; a
-non-cyclic matrix is the case without it.
+(Parlett, The Symmetric Eigenvalue Problem): the LDL^T factorization
+(LAPACK dpttrf) of T - sigma I has positive pivots exactly when sigma
+lies below the smallest eigenvalue (Sylvester inertia), and every
+Rayleigh quotient lies at or above it.  A cyclic corner enters as a
+rank-one Sherman-Morrison term, whose vector is solved once per shift
+with the same factorization; a non-cyclic matrix is the case without
+it.
 
 The bracket [lo, hi] starts as the Gershgorin window, the vector as the
-constant one and the shift just below the window.  A Cholesky that
+constant one and the shift just below the window.  A factorization that
 succeeds raises lo to sigma and takes one inverse-iteration step, whose
 Rayleigh quotient lowers hi; one that fails lowers hi to sigma.  The
 next shift lies just below the smaller of the Rayleigh quotient and the
@@ -23,6 +24,11 @@ Rayleigh quotient stalls, and the residual is checked.  Iterating from
 a positive vector, such matrices get an entrywise positive,
 deterministic principal vector, also when their smallest eigenvalues
 form a numerically degenerate cluster.
+
+A call costs one factorization per distinct shift (plus one solve for
+the corner's vector when cyclic) and one solve per step: the steps at
+the final certified shift are a solve each.  It holds three n-vectors
+besides the factors.
 """
 
 from __future__ import annotations
@@ -31,13 +37,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solveh_banded
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import NoConvergence, NonFinite
 
 RESIDUAL_TOL = 1e-8
 TOL_LAMBDA = 1e-10   # certificate margin floor and Rayleigh-quotient stall test
-MAX_STEPS = 100   # Cholesky factorizations per eigenpair; ~50 bisections close any bracket
+# Steps per eigenpair: each factors its shift unless it repeats the last
+# one, and solves once if the shift is certified; ~50 bisections close
+# any bracket.
+MAX_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -67,10 +76,14 @@ class SymTridiag:
         return self.diag.size
 
     def matvec(self, v):
-        out = self.diag * v
+        return self._matvec_into(v, np.empty(self.n), np.empty(self.n - 1))
+
+    def _matvec_into(self, v, out, tmp):
+        """T v written into out; tmp (n - 1 entries) is scratch."""
+        np.multiply(self.diag, v, out=out)
         if self.n > 1:
-            out[:-1] += self.offdiag * v[1:]
-            out[1:] += self.offdiag * v[:-1]
+            np.add(out[:-1], np.multiply(self.offdiag, v[1:], out=tmp), out=out[:-1])
+            np.add(out[1:], np.multiply(self.offdiag, v[:-1], out=tmp), out=out[1:])
         if self.corner is not None and self.n > 1:
             out[0] += self.corner * v[-1]
             out[-1] += self.corner * v[0]
@@ -87,12 +100,17 @@ class SymTridiag:
             r[-1] += abs(self.corner)
         return r
 
+    def _window(self):
+        """(Gershgorin lower end, upper end, ||T||_inf) from one set of radii."""
+        r = self._radii()
+        return (float((self.diag - r).min()), float((self.diag + r).max()),
+                float((np.abs(self.diag) + r).max()))
+
     def inf_norm(self):
-        return float((np.abs(self.diag) + self._radii()).max())
+        return self._window()[2]
 
     def gershgorin(self):
-        r = self._radii()
-        return float((self.diag - r).min()), float((self.diag + r).max())
+        return self._window()[:2]
 
     def dense(self):
         a = np.diag(self.diag)
@@ -116,61 +134,74 @@ def _fix_sign(v):
     return v if v[i] > 0 else -v
 
 
-def _delta(T):
-    """Certificate margin: TOL_LAMBDA, widened to the backward-error
-    scale eps*||T|| below which the Cholesky test of the rounded matrix
-    is not meaningful."""
-    return max(TOL_LAMBDA, 64 * np.finfo(float).eps * T.inf_norm())
+def _delta(norm):
+    """Certificate margin for ||T||_inf = norm: TOL_LAMBDA, widened to
+    the backward-error scale eps*||T|| below which the LDL^T test of the
+    rounded matrix is not meaningful."""
+    return max(TOL_LAMBDA, 64 * np.finfo(float).eps * norm)
 
 
-def _cholesky_solve(diag, offdiag, sigma, rhs):
-    """(tridiag(offdiag, diag, offdiag) - sigma I)^{-1} rhs by banded
-    Cholesky (no pivoting), or None when that matrix is not positive
-    definite.  A result is the certificate that sigma lies below its
-    smallest eigenvalue.
+class _ShiftedFactor:
+    """LDL^T factors of T - sigma I for the shifts of one eigensolve,
+    kept in two work arrays and recomputed only when sigma changes.
 
-    With negative offdiagonals the shifted matrix is then an M-matrix:
-    the substitution sweeps involve no cancellation, so a nonnegative
-    rhs yields a strictly positive result even in floating point.
+    A cyclic T is split as C = B + beta u u^T: beta = -|corner| < 0,
+    u = e_1 - sign(corner) e_n, and B the tridiagonal part with |corner|
+    added to both corner diagonals.  Since beta < 0, C - sigma I is
+    positive definite iff B - sigma I is and the Sherman-Morrison
+    denominator 1 + beta u^T (B - sigma I)^{-1} u is positive; z =
+    (B - sigma I)^{-1} u and that denominator are solved once per shift.
+
+    With negative offdiagonals the shifted matrix is an M-matrix: the
+    substitution sweeps involve no cancellation, so a nonnegative rhs
+    yields a strictly positive result even in floating point.
     """
-    ab = np.empty((2, diag.size))
-    ab[0, 0] = 0.0
-    ab[0, 1:] = offdiag
-    ab[1] = diag - sigma
-    try:
-        return solveh_banded(ab, rhs, overwrite_ab=True, check_finite=False)
-    except np.linalg.LinAlgError:
-        return None
 
+    def __init__(self, T):
+        self.offdiag = T.offdiag
+        self.d = np.empty(T.n)
+        self.e = np.empty(T.n - 1)
+        self.sigma = None
+        self.definite = False
+        if T.corner is None:
+            self.diag, self.z = T.diag, None
+            return
+        self.beta = -abs(T.corner)
+        self.u_n = -math.copysign(1.0, T.corner)   # u's last entry; u_1 = 1
+        self.diag = T.diag.copy()
+        self.diag[0] -= self.beta
+        self.diag[-1] -= self.beta
+        self.z = np.empty(T.n)
 
-def _rank_one_split(T):
-    """(d, beta, u) with cyclic C = B + beta u u^T: beta = -|corner| < 0,
-    u = e_1 - sign(corner) e_n, and B = tridiag(offdiag, d, offdiag) the
-    tridiagonal part with |corner| added to both corner diagonals."""
-    beta = -abs(T.corner)
-    u = np.zeros(T.n)
-    u[0] = 1.0
-    u[-1] = -math.copysign(1.0, T.corner)
-    d = T.diag.copy()
-    d[0] -= beta
-    d[-1] -= beta
-    return d, beta, u
+    def factor(self, sigma):
+        """Whether T - sigma I is positive definite, factoring it unless
+        sigma is the shift factored last."""
+        if sigma != self.sigma:
+            self.sigma = sigma
+            np.subtract(self.diag, sigma, out=self.d)
+            np.copyto(self.e, self.offdiag)
+            info = dpttrf(self.d, self.e, overwrite_d=1, overwrite_e=1)[2]
+            if info < 0:
+                raise ValueError(f"illegal value in argument {-info} of dpttrf")
+            self.definite = info == 0
+            if self.definite and self.z is not None:
+                z = self.z
+                z.fill(0.0)
+                z[0], z[-1] = 1.0, self.u_n
+                dpttrs(self.d, self.e, z, overwrite_b=1)
+                self.denom = 1.0 + self.beta * (z[0] + self.u_n * z[-1])
+                self.definite = self.denom > 0.0
+        return self.definite
 
-
-def _cyclic_definite_below(T, split, sigma, v=None):
-    """(C - sigma I)^{-1} v, with v = u by default, when C - sigma I is
-    positive definite, else None.  Since beta < 0, that holds iff the
-    Cholesky of B - sigma I succeeds and 1 + beta u^T (B - sigma I)^{-1} u
-    > 0; v and u are the two right-hand sides of that one factorization,
-    combined by Sherman-Morrison."""
-    d, beta, u = split
-    yz = _cholesky_solve(d, T.offdiag, sigma,
-                         np.column_stack((u if v is None else v, u)))
-    if yz is None:
-        return None
-    y, z = yz.T
-    denom = 1.0 + beta * (u @ z)
-    return y - z * (beta * (u @ y) / denom) if denom > 0.0 else None
+    def solve(self, rhs, out, tmp):
+        """out = (T - sigma I)^{-1} rhs at the last shift factored, which
+        must be definite; tmp (n entries) is scratch for the corner term."""
+        np.copyto(out, rhs)
+        dpttrs(self.d, self.e, out, overwrite_b=1)
+        if self.z is not None:
+            scale = self.beta * (out[0] + self.u_n * out[-1]) / self.denom
+            np.subtract(out, np.multiply(self.z, scale, out=tmp), out=out)
+        return out
 
 
 def smallest_eig(T: SymTridiag) -> EigenPair:
@@ -179,33 +210,35 @@ def smallest_eig(T: SymTridiag) -> EigenPair:
     entrywise positive for matrices with nonpositive offdiagonals."""
     if T.n == 1:                       # a 1x1 matrix has no corner entry
         return EigenPair(float(T.diag[0]), np.array([1.0]), 0.0)
-    split = None if T.corner is None else _rank_one_split(T)
-    delta = _delta(T)
-    lo, hi = T.gershgorin()
+    lo, hi, norm_inf = T._window()
+    delta = _delta(norm_inf)
     lo -= delta                        # T - lo I is strictly diagonally dominant
     sigma = lo
+    shifted = _ShiftedFactor(T)
     v = np.full(T.n, 1.0 / math.sqrt(T.n))
+    w = np.empty(T.n)
+    Tv = np.empty(T.n)
     last = prev = rq = cw = math.inf
     for _ in range(MAX_STEPS):
-        if split is None:
-            w = _cholesky_solve(T.diag, T.offdiag, sigma, v)
-        else:
-            w = _cyclic_definite_below(T, split, sigma, v)
-        if w is None:
+        if not shifted.factor(sigma):
             hi = sigma
         else:
             lo = sigma
+            shifted.solve(v, w, Tv)
             norm = np.linalg.norm(w)
             if not np.isfinite(norm) or norm == 0.0:
                 raise NonFinite("inverse iteration produced non-finite vector")
-            # Collatz-Wielandt estimate: (Tw)_i / w_i = sigma + v_i / w_i
-            cw = sigma + float((v / w).min()) if np.all(w > 0) else math.inf
-            v = w / norm
-            Tv = T.matvec(v)
+            if hi - lo > 2 * delta:    # cw is read only while the bracket is open
+                # Collatz-Wielandt estimate: (Tw)_i / w_i = sigma + v_i / w_i
+                cw = (sigma + float(np.divide(v, w, out=Tv).min())
+                      if w.min() > 0 else math.inf)
+            np.divide(w, norm, out=v)
+            T._matvec_into(v, Tv, w[:-1])
             rq = float(v @ Tv)
             hi = min(hi, rq)
             if hi - lo <= 2 * delta and sigma == last and prev - rq <= TOL_LAMBDA:
-                res = float(np.linalg.norm(Tv - rq * v) / max(T.inf_norm(), 1e-300))
+                r = np.subtract(Tv, np.multiply(v, rq, out=w), out=w)
+                res = float(np.linalg.norm(r) / max(norm_inf, 1e-300))
                 if res <= RESIDUAL_TOL:
                     return EigenPair(rq, _fix_sign(v), res)
             last, prev = sigma, rq

@@ -182,6 +182,31 @@ def test_mass_distribution_basics():
         mass_distribution(x, w, [(0.5, 1.5)])
 
 
+def test_mass_distribution_slices_match_masks():
+    """The slice between two searchsorted ends gives bitwise the masses of
+    a full-grid mask with every node interpolated."""
+    def masked(x, w, lo, hi):
+        inside = x[(x > lo) & (x < hi)]
+        xs = np.concatenate(([lo], inside, [hi]))
+        return float(np.trapezoid(np.interp(xs, x, w) ** 2, xs))
+
+    x = np.sort(np.random.default_rng(7).uniform(0.0, 1.0, 200))
+    x[0], x[-1] = 0.0, 1.0
+    mid = 0.5 * (x[3] + x[4])
+    repeated = np.insert(x, 30, x[30])        # a zero-width cell at x[30]
+    for grid in (x, repeated):
+        w = np.exp(-8.0 * (grid - 0.4) ** 2) * (1.0 + grid)   # one value per point
+        intervals = [(grid[10], grid[50]),                   # ends on nodes
+                     (mid, 0.5 * (grid[70] + grid[71])),     # ends between nodes
+                     (grid[20], grid[20]), (mid, mid),       # lo == hi
+                     (grid[5] + 0.2 * (grid[6] - grid[5]),   # inside one cell
+                      grid[5] + 0.7 * (grid[6] - grid[5])),
+                     (grid[0], grid[-1]),                    # the whole grid
+                     (grid[30], grid[31]), (grid[25], grid[30]), (grid[30], 0.9)]
+        got = mass_distribution(grid, w, intervals)
+        assert got == [masked(grid, w, lo, hi) for lo, hi in intervals]
+
+
 def test_vee_neumann_mass_all_at_boundaries():
     prof = build_profile(builtin("vee", 0.5))
     records = sweep(prof, C0, RobinBC.neumann(), [200.0],

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from adveig import spectral
+from adveig.assembly import assemble_periodic, assemble_transformed
 from adveig.errors import NoConvergence, NonFinite
+from adveig.profile import Potential, RobinBC, build_profile, builtin
 from adveig.spectral import SymTridiag, smallest_eig
 from conftest import (charpoly_count_below, charpoly_smallest,
                       cyclic_inertia_below, sturm_count)
@@ -112,8 +114,8 @@ def test_cyclic_inertia_matches_dense(rng):
 
 
 def test_cyclic_definiteness_test_matches_dense_inertia(rng):
-    """The rank-one Cholesky test answers None exactly when sigma is at
-    or above the smallest eigenvalue of C, for both corner signs."""
+    """The rank-one LDL^T test fails exactly when sigma is at or above
+    the smallest eigenvalue of C, for both corner signs."""
     for sign in (1.0, -1.0):
         for _ in range(60):
             n = int(rng.integers(3, 14))
@@ -123,8 +125,8 @@ def test_cyclic_definiteness_test_matches_dense_inertia(rng):
             sigma = lam_min + float(rng.normal() * 4)
             if abs(sigma - lam_min) < 1e-8:
                 continue
-            z = spectral._cyclic_definite_below(T, spectral._rank_one_split(T), sigma)
-            assert (z is not None) == (sigma < lam_min)
+            definite = spectral._ShiftedFactor(T).factor(sigma)
+            assert definite == (sigma < lam_min)
 
 
 def _random_matrix(rng, kind, cyclic):
@@ -141,20 +143,15 @@ def _random_matrix(rng, kind, cyclic):
 @pytest.mark.parametrize("cyclic", [False, True])
 @pytest.mark.parametrize("kind", ["m_matrix", "random_sign"])
 def test_both_certificates_hold_for_the_returned_eigenvalue(rng, kind, cyclic):
-    """The Cholesky test succeeds at lam - delta (lower certificate), and
+    """The LDL^T test succeeds at lam - delta (lower certificate), and
     lam is at most delta above the dense smallest eigenvalue (upper
     certificate), up to the rounding n eps ||T|| of a Rayleigh quotient."""
     for _ in range(40):
         T = _random_matrix(rng, kind, cyclic)
         lam = smallest_eig(T).lam
-        delta = spectral._delta(T)
-        if cyclic:
-            below = spectral._cyclic_definite_below(T, spectral._rank_one_split(T),
-                                                    lam - delta)
-        else:
-            below = spectral._cholesky_solve(T.diag, T.offdiag, lam - delta,
-                                             np.ones(T.n))
-        assert below is not None
+        delta = spectral._delta(T.inf_norm())
+        below = spectral._ShiftedFactor(T).factor(lam - delta)
+        assert below
         lam_min = float(np.linalg.eigvalsh(T.dense())[0])
         rounding = T.n * np.finfo(float).eps * T.inf_norm()
         assert lam_min - rounding <= lam <= lam_min + delta
@@ -168,14 +165,42 @@ def test_no_convergence_when_cholesky_never_succeeds(monkeypatch, corner):
     T = SymTridiag(np.full(32, 2 / h**2), np.full(31, -1 / h**2), corner=corner)
     shifts = []
 
-    def never(diag, offdiag, sigma, rhs):
+    def never(self, sigma):
         shifts.append(sigma)
-        return None
+        return False
 
-    monkeypatch.setattr(spectral, "_cholesky_solve", never)
+    monkeypatch.setattr(spectral._ShiftedFactor, "factor", never)
     with pytest.raises(NoConvergence):
         smallest_eig(T)
     assert len(shifts) == spectral.MAX_STEPS
+
+
+def test_each_distinct_shift_is_factored_once(monkeypatch):
+    """dpttrf runs once per distinct shift: the inverse-iteration steps
+    at the final certified shift reuse its factors."""
+    shifts, factorizations = [], []
+    factor, dpttrf = spectral._ShiftedFactor.factor, spectral.dpttrf
+
+    def recording_factor(self, sigma):
+        shifts.append(sigma)
+        return factor(self, sigma)
+
+    def counting_dpttrf(*args, **kwargs):
+        factorizations.append(1)
+        return dpttrf(*args, **kwargs)
+
+    monkeypatch.setattr(spectral._ShiftedFactor, "factor", recording_factor)
+    monkeypatch.setattr(spectral, "dpttrf", counting_dpttrf)
+    t1 = build_profile(builtin("t1", 0.15, 0.3, 0.45, 0.6, 0.8))
+    bump = build_profile(builtin("periodic_bump", 0.25))
+    c = Potential.from_coeffs([2.9, -12.0, 40.0])
+    c_periodic = Potential.from_coeffs([0.5, 2.0, -2.0])       # c(0) = c(1)
+    for op in (assemble_transformed(t1, c, RobinBC.neumann(), 100.0, 4000),
+               assemble_periodic(bump, c_periodic, 100.0, 4000)):
+        shifts.clear()
+        factorizations.clear()
+        smallest_eig(op.matrix)
+        assert len(factorizations) == len(set(shifts)) < len(shifts)
 
 
 def test_positivity_for_negative_offdiagonals(rng):
