@@ -8,24 +8,38 @@ Robin-closed sub-interval eigenvalues for plateaus touching a boundary,
 which inherit the global (hbar, ell) pair at that end.  Unbounded cases
 are delegated to the boundedness trichotomy.
 
-Sub-interval eigenvalues are computed numerically; each term carries a
-Richardson error estimate (coarse vs fine grid) and argmin ties are
-reported as the full attaining set, since the limiting measure may be
-supported on several components at once.
+Each sub-interval eigenvalue is a spectral-element solve with one
+Gauss-Lobatto-Legendre (GLL) element per piece of c, which converges
+spectrally in the element degree since c is a polynomial on each piece
+(Trefethen, Spectral Methods in MATLAB, 2000; Canuto, Hussaini,
+Quarteroni & Zang, Spectral Methods, 2006).  Each term carries the gap
+between two degrees as its error estimate, and argmin ties are reported
+as the full attaining set, since the limiting measure may be supported
+on several components at once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
-from .assembly import SubBC, assemble_subinterval, principal_eigen
+import numpy as np
+from scipy.linalg.lapack import dsyevr
+
+from .assembly import SubBC
+from .errors import NoConvergence
 from .maxset import (SEGMENT_SUB_BC, MaxSetDecomposition, boundedness,
                      decompose_periodic, shielded)
 from .profile import PeriodicBC, Potential, RobinBC
 
-GRID_PER_UNIT = 4000     # sub-interval grid points per unit length
-_MIN_SUB_N = 64
+P_FINE, P_COARSE = 16, 12     # GLL element degrees of the value and its check
+# A knot of c within this fraction of b - a of an element end starts no
+# element: the sliver's tiny lumped masses would make the scaled matrix
+# ill-conditioned (relative errors of 1e-6 at a 1e-5 sliver), while
+# straddling a kink of c that close costs about 1e-7 relative per unit
+# jump of c', and shows in the error estimate.
+_KNOT_GAP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -34,7 +48,7 @@ class LimitTerm:
     value: float
     source: object           # IsolatedMax or SegmentMax behind the term
     interval: tuple | None = None
-    error_estimate: float = 0.0
+    error_estimate: float = 0.0  # plateau: |value at P_FINE - value at P_COARSE|
 
 
 @dataclass(frozen=True)
@@ -50,12 +64,112 @@ class LimitPrediction:
         return "finite" if self.finite else "unbounded"
 
 
+def _legendre(p, x):
+    """P_{p-1}(x) and P_p(x) by the three-term recurrence."""
+    prev, cur = np.ones_like(x), x
+    for k in range(2, p + 1):
+        prev, cur = cur, ((2 * k - 1) * x * cur - (k - 1) * prev) / k
+    return prev, cur
+
+
+@functools.lru_cache(maxsize=2)     # the predictor uses P_FINE and P_COARSE only
+def _gll_element(p):
+    """GLL nodes, weights, differentiation matrix D and stiffness
+    D^T diag(w) D of the degree-p reference element [-1, 1].
+
+    The nodes, the roots of (1 - x^2) P_p'(x), come from a Newton-type
+    iteration started at the Chebyshev-Lobatto points; D's diagonal is
+    minus its off-diagonal row sum, so D differentiates constants to
+    rounding.
+    """
+    x = -np.cos(np.pi * np.arange(p + 1) / p)
+    for _ in range(100):
+        prev, cur = _legendre(p, x)
+        step = (x * cur - prev) / ((p + 1) * cur)
+        x = x - step
+        if np.abs(step).max() <= 1e-15:
+            break
+    x[0], x[-1] = -1.0, 1.0
+    pp = _legendre(p, x)[1]
+    weights = 2.0 / (p * (p + 1) * pp ** 2)
+    dx = x[:, None] - x[None, :]
+    np.fill_diagonal(dx, 1.0)
+    diff = (pp[:, None] / pp[None, :]) / dx
+    np.fill_diagonal(diff, 0.0)
+    np.fill_diagonal(diff, -diff.sum(axis=1))
+    rule = (x, weights, diff, diff.T @ (weights[:, None] * diff))
+    for array in rule:              # shared by every caller through the cache
+        array.flags.writeable = False
+    return rule
+
+
+def _gll_eigenvalue(c, a, b, betas, p):
+    """Principal eigenvalue of -phi'' + c phi on [a, b] from degree-p GLL
+    elements, one per piece of c, with lumped (GLL) mass.
+
+    betas holds the Robin coefficient phi' = +-beta phi of each end, or
+    None for a Dirichlet end, whose node is dropped.  The eigenvector of
+    M^{-1/2} A M^{-1/2} is scored by its Rayleigh quotient in sum-of-
+    squares form, sum_e (2/h_e) w (D phi)^2 + sum beta phi_end^2 +
+    sum m c phi^2 over sum m phi^2, taken as min c plus the quotient
+    with c - min c in place of c.  Every term of that quotient is
+    nonnegative, so the 1/h^2 scale of the stiffness cancels nothing
+    and a constant c is returned exactly.
+    """
+    nodes, weights, diff, stiff = _gll_element(p)
+    gap = _KNOT_GAP * (b - a)
+    ends = [a]
+    for k in c.knots:
+        if ends[-1] + gap < k < b - gap:
+            ends.append(k)
+    ends.append(b)
+    n = p * (len(ends) - 1) + 1
+    x = np.empty(n)
+    mass = np.zeros(n)
+    matrix = np.zeros((n, n))
+    blocks = []
+    for e in range(len(ends) - 1):
+        block = slice(p * e, p * e + p + 1)
+        scale = 2.0 / (ends[e + 1] - ends[e])      # d(xi)/dx on the element
+        x[block] = 0.5 * (ends[e] * (1.0 - nodes) + ends[e + 1] * (1.0 + nodes))
+        mass[block] += weights / scale
+        matrix[block, block] += scale * stiff
+        blocks.append((block, scale))
+    cx = c(x)
+    beta_left, beta_right = betas[0] or 0.0, betas[1] or 0.0
+    matrix.flat[::n + 1] += mass * cx
+    matrix[0, 0] += beta_left
+    matrix[-1, -1] += beta_right
+    kept = slice(int(betas[0] is None), n - int(betas[1] is None))
+    root = 1.0 / np.sqrt(mass[kept])
+    _, vector, _, _, info = dsyevr(matrix[kept, kept] * root[:, None] * root,
+                                   range="I", il=1, iu=1)
+    if info:
+        raise NoConvergence(1, f"LAPACK dsyevr info {info}")
+    phi = np.zeros(n)
+    phi[kept] = vector[:, 0] * root
+    q = mass * phi * phi
+    total = q.sum()
+    floor = cx.min()
+    energy = (sum(scale * float(weights @ (diff @ phi[block]) ** 2)
+                  for block, scale in blocks)
+              + beta_left * phi[0] ** 2 + beta_right * phi[-1] ** 2
+              + float(q @ (cx - floor)))
+    return float(floor + energy / total)
+
+
 def _sub_eigenvalue(c, a, b, left, right):
-    """Sub-interval principal eigenvalue with a two-grid error estimate."""
-    n = max(_MIN_SUB_N, math.ceil(GRID_PER_UNIT * (b - a)))
-    fine = principal_eigen(assemble_subinterval(c, a, b, left, right, n)).lam
-    coarse = principal_eigen(assemble_subinterval(c, a, b, left, right, n // 2)).lam
-    return fine, abs(fine - coarse) / 3.0   # second-order Richardson gap
+    """Sub-interval principal eigenvalue at GLL degree P_FINE, and its gap
+    to degree P_COARSE as the error estimate.
+
+    With lumped mass the value is not a strict Rayleigh-Ritz upper bound
+    on the continuum eigenvalue, so the estimate is a convergence gap,
+    not a certified bracket.  It is at rounding level when degree
+    P_COARSE already resolves the eigenfunction, and grows when c is
+    steep on [a, b]."""
+    betas = (left.beta(), right.beta())
+    fine = _gll_eigenvalue(c, a, b, betas, P_FINE)
+    return fine, abs(fine - _gll_eigenvalue(c, a, b, betas, P_COARSE))
 
 
 def _segment_term(seg, c, bc):

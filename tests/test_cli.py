@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -73,6 +74,18 @@ def test_predict_t1_json(capsys):
             assert 0.0 <= term["error_estimate"] < 1e-3
         else:
             assert term["interval"] is None and term["error_estimate"] == 0.0
+
+
+def test_predict_narrow_dd_plateau_to_every_printed_digit(capsys):
+    """The M4 plateau [0.25, 0.3] of this t2 gives a DD term (pi/0.05)^2;
+    the CLI prints 12 significant digits and all of them are right."""
+    code, out, _ = run_cli(capsys, "predict",
+                           "--template", "t2:0.1,0.25,0.3,0.45,0.6,0.8",
+                           "--c", "zero", "--bc", "robin:1,0,1,0")
+    assert code == 0
+    (dd,) = [t for t in json.loads(out)["terms"] if t["kind"] == "DD"]
+    assert dd["interval"] == [0.25, 0.3]
+    assert f"{dd['value']:.12g}" == f"{(math.pi / 0.05) ** 2:.12g}"
 
 
 def test_classify_json_schema(capsys):

@@ -1,11 +1,14 @@
 import math
 
 import pytest
+from scipy.optimize import brentq
 
+from adveig.assembly import SubBC
 from adveig.errors import PreconditionViolated
 from adveig.maxset import boundedness, decompose, decompose_periodic
-from adveig.predictor import (LimitTerm, _argmin_set, frak_L,
-                              periodic_prediction, predict_limit)
+from adveig.predictor import (LimitTerm, _argmin_set, _gll_eigenvalue,
+                              _sub_eigenvalue, frak_L, periodic_prediction,
+                              predict_limit)
 from adveig.profile import (PeriodicBC, Potential, ProfileSpec, RobinBC,
                             TEMPLATES, build_profile, builtin, _ramp_coeffs)
 
@@ -236,3 +239,72 @@ def test_argmin_on_the_robin_case():
     pred = predict_limit(decompose(prof), c, RobinBC(1.0, 1.58502, 1.0, 0.0))
     assert [t.kind for t in pred.terms] == ["c_at_point", "DD", "ND", "NR"]
     assert pred.argmin == (3,)
+
+
+def test_constant_potential_ties_every_term_exactly():
+    """Under Neumann data with constant c every term of t1 is c: the two
+    c(x) point terms and the NN plateau term tie exactly."""
+    prof = build_profile(builtin("t1", 0.15, 0.3, 0.45, 0.6, 0.8))
+    pred = predict_limit(decompose(prof), Potential.constant(-0.130529),
+                         RobinBC.neumann())
+    (nn,) = [t for t in pred.terms if t.kind == "NN"]
+    assert nn.value == pytest.approx(-0.130529, rel=1e-14, abs=0.0)
+    assert pred.argmin == (0, 1, 2)
+
+
+def _rd_root(beta, width):
+    """k of phi = sin(k (L - x)) under phi'(0) = beta phi(0): tan(kL) = -k/beta."""
+    return brentq(lambda k: math.tan(k * width) + k / beta,
+                  (math.pi / 2 + 1e-9) / width, (math.pi - 1e-9) / width)
+
+
+def _rn_root(beta, width):
+    """k of phi = cos(k (L - x)) under phi'(0) = beta phi(0): k tan(kL) = beta."""
+    return brentq(lambda k: k * math.tan(k * width) - beta,
+                  1e-9, (math.pi / 2 - 1e-9) / width)
+
+
+# (c, a, b, left, right, exact eigenvalue of -phi'' + c phi on [a, b])
+CLOSED_FORMS = {
+    "DD": (C0, 0.3, 0.35, SubBC.D(), SubBC.D(), (math.pi / (0.35 - 0.3)) ** 2),
+    "ND": (C0, 0.4, 0.6, SubBC.N(), SubBC.D(), (math.pi / (2 * (0.6 - 0.4))) ** 2),
+    "NN": (Potential.constant(2.75), 0.45, 0.6, SubBC.N(), SubBC.N(), 2.75),
+    "RD": (C0, 0.0, 0.3, SubBC.R(1.0, 2.0), SubBC.D(), _rd_root(2.0, 0.3) ** 2),
+    "RN": (Potential.constant(-1.5), 0.0, 0.3, SubBC.R(0.5, 1.5), SubBC.N(),
+           _rn_root(3.0, 0.3) ** 2 - 1.5),
+    # a knot of c one rounding step inside the plateau starts no element
+    "DD-knot-at-end": (Potential.from_segments((0.0, 0.1 + 0.2, 1.0), ((2.0,), (2.0,))),
+                       0.3, 0.35, SubBC.D(), SubBC.D(),
+                       (math.pi / (0.35 - 0.3)) ** 2 + 2.0),
+}
+
+
+@pytest.mark.parametrize("case", list(CLOSED_FORMS))
+def test_sub_eigenvalue_closed_forms(case):
+    c, a, b, left, right, exact = CLOSED_FORMS[case]
+    value, estimate = _sub_eigenvalue(c, a, b, left, right)
+    assert value == pytest.approx(exact, rel=1e-12, abs=0.0)
+    assert estimate <= 1e-10
+
+
+def test_sub_eigenvalue_two_pieces_of_c():
+    """A knot of c inside [a, b] splits it into two elements; the value
+    matches a degree-24 solve on the same elements."""
+    c = Potential.from_segments((0.0, 0.5, 1.0), ((1.0, 2.0, -3.0),
+                                                  (1.25, -1.0, 5.0)))
+    value, estimate = _sub_eigenvalue(c, 0.2, 0.9, SubBC.D(), SubBC.N())
+    reference = _gll_eigenvalue(c, 0.2, 0.9, (None, 0.0), 24)
+    assert value == pytest.approx(reference, rel=1e-12, abs=0.0)
+    assert estimate <= 1e-10
+
+
+@pytest.mark.parametrize("left,right", [(SubBC.N(), SubBC.N()),
+                                        (SubBC.D(), SubBC.N()),
+                                        (SubBC.R(1.0, 2.0), SubBC.D())])
+def test_sub_eigenvalue_error_estimate_covers_a_steep_potential(left, right):
+    """c = 1e4 x^2 confines the eigenfunction to a 0.1-wide layer that one
+    degree-16 element does not resolve; the error estimate says so."""
+    c = Potential.from_coeffs([0.0, 0.0, 1e4])
+    value, estimate = _sub_eigenvalue(c, 0.0, 1.0, left, right)
+    reference = _gll_eigenvalue(c, 0.0, 1.0, (left.beta(), right.beta()), 24)
+    assert abs(value - reference) <= 4.0 * estimate
