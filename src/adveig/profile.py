@@ -1,12 +1,12 @@
 """Piecewise-polynomial advection profiles m and potentials c on [0,1].
 
 A profile is a C^2 piecewise polynomial with a verified per-segment sign
-of m': every Bernstein coefficient of m' on the segment has the sign to
-within 1e-9 max|m'| there, after de Casteljau halving where they
-disagree (Lane & Riesenfeld 1981; Farouki & Rajan 1987).  So the
-monotonicity that the asymptotic theory consumes is machine-checked,
-and rounding at a double root of m' is no sign change.  Degree is
-capped at 8 and transcendental profiles are out of scope by design.
+of m', read off the range of m' on the segment: its minimum and maximum
+over the two ends and the real roots of m'' inside.  A dip below
+1e-9 max|m'| there counts as zero, so the monotonicity that the
+asymptotic theory consumes is machine-checked and rounding at a double
+root of m' is no sign change.  Degree is capped at 8 and transcendental
+profiles are out of scope by design.
 
 Profiles and potentials share one structural check (_check_pieces) and
 one evaluator, PiecewisePoly.__call__(x, order, side): side picks the
@@ -36,7 +36,6 @@ DEGREE_CAP = 8
 GLUE_TOL = 1e-12       # knot-matching tolerance, scaled by coefficient size
 _DOMAIN_SLACK = 1e-12
 _SIGN_TOL = 1e-9       # m' dips below _SIGN_TOL * max|m'| on a segment count as zero
-_SPLIT_DEPTH = 30      # de Casteljau halvings before a sign is called mixed
 
 SIGN_TAGS = {"increasing": 1, "decreasing": -1, "constant": 0}
 
@@ -112,37 +111,6 @@ def _critical_values(pp, order, what):
     if bad.any():
         raise MalformedSpec(f"{what} on segment {bad.argmax()} is not finite")
     return lo, hi
-
-
-def _at_least(b, floor, depth=0):
-    """Whether the polynomial with Bernstein coefficients b is >= floor:
-    all coefficients are (convex hull), or both de Casteljau halves are,
-    until an end value falls below floor or the depth cap is reached."""
-    if min(b) >= floor:
-        return True
-    if b[0] < floor or b[-1] < floor or depth == _SPLIT_DEPTH:
-        return False
-    left, right = [b[0]], [b[-1]]
-    while len(b) > 1:
-        b = [(p + q) / 2 for p, q in zip(b, b[1:])]
-        left.append(b[0])
-        right.append(b[-1])
-    return (_at_least(left, floor, depth + 1)
-            and _at_least(right[::-1], floor, depth + 1))
-
-
-def _sign(dp, width, scale):
-    """Sign tag of sum_k dp[k] t^k on [0, width], or 'mixed'.  Dips below
-    _SIGN_TOL * scale (scale = max|dp| there) count as zero."""
-    if not any(dp):
-        return "constant"
-    n = len(dp) - 1
-    a = [c * width ** k / math.comb(n, k) for k, c in enumerate(dp)]
-    b = [sum(math.comb(j, k) * a[k] for k in range(j + 1)) for j in range(n + 1)]
-    for tag, sign in (("increasing", 1), ("decreasing", -1)):
-        if _at_least([sign * v for v in b], -_SIGN_TOL * scale):
-            return tag
-    return "mixed"
 
 
 @dataclass(frozen=True)
@@ -269,7 +237,7 @@ class PiecewisePoly:
 
 @dataclass(frozen=True)
 class AdvectionProfile:
-    """Validated advection profile with the certified sign signature of
+    """Validated advection profile with the verified sign signature of
     m' (see build_profile)."""
     spec: ProfileSpec
     sign_signature: tuple        # per segment, in {+1, -1, 0}
@@ -364,7 +332,8 @@ class PeriodicBC:
         for order, jump in enumerate(profile._poly.wrap_jumps(2)):
             if jump > tol:
                 raise NotPeriodic(f"m^({order}) wrap mismatch {jump:.3e} at 0/1")
-        if potential is not None and potential._poly.wrap_jumps(0)[0] > GLUE_TOL:
+        if (potential is not None and potential._poly.wrap_jumps(0)[0]
+                > GLUE_TOL * max(1.0, potential._poly.scale)):
             raise NotPeriodic("c(0) != c(1)")
 
 
@@ -374,10 +343,17 @@ def build_profile(spec: ProfileSpec) -> AdvectionProfile:
     """Validate a spec and return the profile.
 
     Checks, in order: structural well-formedness, finite derivatives,
-    range and max|m'|, C^2 gluing at every interior knot (absolute
-    tolerance 1e-12 on m, m', m''), each segment's certified sign of m'
-    (_sign) against its declared tag, and non-constancy.  Raises
+    range and max|m'|, C^2 gluing at every interior knot (tolerance
+    1e-12 on m, m', m'', scaled by coefficient size), each segment's sign
+    of m' against its declared tag, and non-constancy.  Raises
     MalformedSpec / NotC2 / SignMismatch / GloballyConstant accordingly.
+
+    The sign comes from the (min, max) of m' that also gives max|m'|:
+    "constant" if m' is identically zero, else "increasing" if the
+    minimum is >= -1e-9 max|m'| on the segment, else "decreasing" if the
+    maximum is <= 1e-9 max|m'|, else "mixed".  A root of m'' of
+    multiplicity k comes out about eps^(1/k) off, which moves m' there by
+    about eps^((k+1)/k), below rounding: the range is exact to rounding.
     """
     spec.validate_structure()
     pp = PiecewisePoly(spec.knots, spec.segments)
@@ -386,18 +362,17 @@ def build_profile(spec: ProfileSpec) -> AdvectionProfile:
         raise MalformedSpec(f"profile segment {finite.argmin()} has non-finite derivatives")
     global_range = pp.range_values("m")
     lo, hi = _critical_values(pp, 1, "m'")
-    scales = np.maximum(np.abs(lo), np.abs(hi)).tolist()
+    scales = np.maximum(np.abs(lo), np.abs(hi))
     pp.check_continuity(2)
 
-    signature = []
-    widths = pp.widths.tolist()
-    for i, seg in enumerate(spec.segments):
-        dp = pp._coef_cache[1][:len(seg) - 1, i].tolist()
-        verified = _sign(dp, widths[i], scales[i])
-        declared = spec.declared_signs[i]
-        if verified != declared:
-            raise SignMismatch(i, declared, verified)
-        signature.append(SIGN_TAGS[declared])
+    floor = _SIGN_TOL * scales
+    verified = np.select([~pp._coef_cache[1].any(axis=0), lo >= -floor, hi <= floor],
+                         ["constant", "increasing", "decreasing"], "mixed")
+    bad = verified != np.array(spec.declared_signs)
+    if bad.any():
+        i = int(bad.argmax())
+        raise SignMismatch(i, spec.declared_signs[i], str(verified[i]))
+    signature = [SIGN_TAGS[tag] for tag in spec.declared_signs]
 
     if all(s == 0 for s in signature):
         raise GloballyConstant("m is constant on [0,1]")
@@ -406,7 +381,7 @@ def build_profile(spec: ProfileSpec) -> AdvectionProfile:
         spec=spec,
         sign_signature=tuple(signature),
         global_range=global_range,
-        max_abs_deriv=max(scales),
+        max_abs_deriv=float(scales.max()),
         _poly=pp,
     )
 

@@ -75,9 +75,6 @@ class SymTridiag:
     def n(self):
         return self.diag.size
 
-    def matvec(self, v):
-        return self._matvec_into(v, np.empty(self.n), np.empty(self.n - 1))
-
     def _matvec_into(self, v, out, tmp):
         """T v written into out; tmp (n - 1 entries) is scratch."""
         np.multiply(self.diag, v, out=out)

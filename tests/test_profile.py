@@ -157,14 +157,24 @@ def test_increasing_accepts_even_multiplicity_interior_zeros():
         assert err.value.verified == "mixed"
     # m' = (t - 0.5)^2 - dip, max|m'| ~ 0.25: a dip of 1e-6 relative is a
     # sign change, one of 1e-12 relative is rounding-level and passes
-    for rel, ok in ((1e-6, False), (1e-12, True)):
-        dp = P.polysub(P.polyfromroots([0.5, 0.5]), [0.25 * rel])
-        spec = ProfileSpec((0.0, 1.0), (tuple(P.polyint(dp)),), ("increasing",))
-        if ok:
-            assert build_profile(spec).sign_signature == (1,)
+    dips = [(P.polysub(P.polyfromroots([0.5, 0.5]), [0.25 * rel]), rel, 1)
+            for rel in (1e-6, 1e-12)]
+    # m' = q(t) ((t - r)^2 - e^2), q = 1 + t, r = 0.5: two close simple
+    # roots r -/+ e, max|m'| = 0.5 (at t = 1) and a dip of about 1.5 e^2,
+    # seen only at the root of m'' between them; and a decreasing mirror
+    for rel in (1e-6, 1e-12):
+        e = np.sqrt(rel / 3.0)
+        dp = P.polymul([1.0, 1.0], P.polyfromroots([0.5 - e, 0.5 + e]))
+        dips += [(dp, rel, 1), (-dp, rel, -1)]
+    tags = {1: "increasing", -1: "decreasing"}
+    for dp, rel, sign in dips:
+        spec = ProfileSpec((0.0, 1.0), (tuple(P.polyint(dp)),), (tags[sign],))
+        if rel < 1e-9:
+            assert build_profile(spec).sign_signature == (sign,)
         else:
-            with pytest.raises(SignMismatch):
+            with pytest.raises(SignMismatch) as err:
                 build_profile(spec)
+            assert err.value.verified == "mixed"
     # the degree cap: m' vanishes to order 7 at the knot
     assert build_profile(builtin("power_max", 0.5, 8)).sign_signature == (1, -1)
     assert build_profile(builtin("power_well", 0.5, 7)).sign_signature == (-1, 1)
@@ -297,6 +307,14 @@ def test_periodic_bc_validation():
     PeriodicBC().validate(bump, Potential.zero())
     with pytest.raises(NotPeriodic):
         PeriodicBC().validate(bump, Potential.from_coeffs([0.0, 1.0]))
+    # c = 1e5 u^2 (1 - u)^2 on the bump's pieces (max c = 6250): its wrap
+    # jump of ~1.4e-12 is rounding of the large coefficients, so the
+    # tolerance scales with them as it does for m
+    big = builtin("periodic_bump", 0.3, 1e5)
+    PeriodicBC().validate(build_profile(big),
+                          Potential.from_segments(big.knots, big.segments))
+    with pytest.raises(NotPeriodic):
+        PeriodicBC().validate(bump, Potential.from_coeffs([1e5, 1e-6]))
 
 
 def test_global_range_and_max_deriv():
