@@ -230,5 +230,7 @@ def predict_limit(decomp: MaxSetDecomposition, c: Potential,
 def periodic_prediction(profile, c: Potential) -> LimitPrediction:
     """The periodic limit min{frak_L, min c over isolated maxima}: the
     circle form of predict_limit, which has no boundary terms.  Requires
-    m'(0) > 0 (periodic normalization)."""
-    return predict_limit(decompose_periodic(profile), c, PeriodicBC())
+    m'(0) > 0 (periodic normalization) and data that wrap (NotPeriodic)."""
+    decomp = decompose_periodic(profile)
+    PeriodicBC().validate(profile, c)
+    return predict_limit(decomp, c, PeriodicBC())

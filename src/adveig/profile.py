@@ -13,9 +13,12 @@ one evaluator, PiecewisePoly.__call__(x, order, side): side picks the
 piece at an interior knot.  At construction PiecewisePoly also fills the
 knot tables, every derivative order at both ends of every segment, so
 one-sided derivatives at knots, the C^k glue check and the periodic wrap
-check are lookups.  Ranges and max|m'| take the end values and the
+check are lookups, and the bounds, sum |coefficient| per derivative order
+and segment.  All widths are <= 1, so a finite bound means no value of
+that derivative overflows: build_profile requires it at every order, a
+potential at order 0.  The range of m' takes the end values and the
 interior critical points, found for all segments at once from np.roots'
-companion matrices (_critical_values).
+companion matrices (_slope_range).
 
 Everything here is immutable after construction and safe to share.
 """
@@ -58,58 +61,52 @@ def _check_pieces(knots, segments, what):
             raise MalformedSpec(f"{what} segment {i} has non-finite coefficients")
 
 
-def _critical_values(pp, order, what):
-    """Per-segment (min, max) of the order-th derivative over the segment's
-    two ends and its interior critical points; MalformedSpec names `what`
-    and the first segment where a value is not finite.
+def _slope_range(pp):
+    """Per-segment (min, max) of m' over the segment's two ends and its
+    interior critical points; MalformedSpec names the first segment whose
+    companion matrix overflows.
 
     The ends come from the knot tables.  The critical points are the real
-    roots in (0, width) of the next derivative, from the companion
-    matrices np.roots would build (zero coefficients stripped at both
-    ends), one eigvals call per degree; all of them are then evaluated in
-    one gathered Horner call that rounds like polyval.
+    roots in (0, width) of m'', from the companion matrices np.roots would
+    build (zero coefficients stripped at both ends), one eigvals call per
+    degree; all of them are then evaluated in one gathered Horner call
+    that rounds like polyval.
     """
-    deriv = pp._coef_cache[order + 1]
+    deriv = pp._coef_cache[2]
     nonzero = deriv != 0
     low = nonzero.argmax(axis=0)
     high = len(deriv) - 1 - nonzero[::-1].argmax(axis=0)
     degree = np.where(nonzero.any(axis=0), high - low, 0)
     bad = np.zeros(len(degree), dtype=bool)
     segs, roots = [], []
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for d in sorted(set(degree.tolist()) - {0}):
-            group = np.nonzero(degree == d)[0]
-            top, col = high[group][:, None], group[:, None]
-            comp = np.zeros((group.size, d, d))
+    for d in sorted(set(degree.tolist()) - {0}):
+        group = np.nonzero(degree == d)[0]
+        top, col = high[group][:, None], group[:, None]
+        comp = np.zeros((group.size, d, d))
+        with np.errstate(over="ignore"):      # a tiny leading coefficient
             comp[:, 0] = -deriv[top - np.arange(1, d + 1), col] / deriv[top, col]
-            comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
-            try:
-                w = np.linalg.eigvals(comp)
-            except np.linalg.LinAlgError:   # overflow or no convergence somewhere
-                w = np.full((group.size, d), np.nan, dtype=complex)
-                for j, a in enumerate(comp):
-                    try:
-                        w[j] = np.linalg.eigvals(a)
-                    except np.linalg.LinAlgError:
-                        bad[group[j]] = True
-            re = w.real
-            rows, cols = np.nonzero((np.abs(w.imag) < 1e-12) & (0 < re)
-                                    & (re < pp.widths[group][:, None]))
-            segs.append(group[rows])
-            roots.append(re[rows, cols])
-        lo = np.minimum(pp.left_ends[order], pp.right_ends[order])
-        hi = np.maximum(pp.left_ends[order], pp.right_ends[order])
-        if segs:
-            idx, x = np.concatenate(segs), np.concatenate(roots)
-            acc = np.zeros(x.size)
-            for row in pp._coef_cache[order][::-1, idx]:
-                acc *= x
-                acc += row
-            np.minimum.at(lo, idx, acc)
-            np.maximum.at(hi, idx, acc)
-    bad |= ~(np.isfinite(lo) & np.isfinite(hi))
+        comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+        finite = np.isfinite(comp[:, 0]).all(axis=1)
+        bad[group[~finite]] = True
+        group = group[finite]
+        w = np.linalg.eigvals(comp[finite])
+        re = w.real
+        rows, cols = np.nonzero((np.abs(w.imag) < 1e-12) & (0 < re)
+                                & (re < pp.widths[group][:, None]))
+        segs.append(group[rows])
+        roots.append(re[rows, cols])
     if bad.any():
-        raise MalformedSpec(f"{what} on segment {bad.argmax()} is not finite")
+        raise MalformedSpec(f"m' on segment {bad.argmax()} is not finite")
+    lo = np.minimum(pp.left_ends[1], pp.right_ends[1])
+    hi = np.maximum(pp.left_ends[1], pp.right_ends[1])
+    if segs:
+        idx, x = np.concatenate(segs), np.concatenate(roots)
+        acc = np.zeros(x.size)
+        for row in pp._coef_cache[1][::-1, idx]:
+            acc *= x
+            acc += row
+        np.minimum.at(lo, idx, acc)
+        np.maximum.at(hi, idx, acc)
     return lo, hi
 
 
@@ -146,10 +143,10 @@ class PiecewisePoly:
         orders = DEGREE_CAP + 2
         # every derivative order through DEGREE_CAP + 1, filled once: the
         # object is shared read-only across threads; orders past the
-        # degree are zero.  In table k of _coefs, row p holds every
-        # segment's t^p coefficient, so each Horner step gathers from one
-        # contiguous row; _coef_cache[k] is table k without its zero top
-        # rows.  Overflow leaves inf in a table; build_profile rejects that.
+        # degree are zero.  In table k, row p holds every segment's t^p
+        # coefficient, so each Horner step gathers from one contiguous
+        # row; _coef_cache[k] is table k without its zero top rows.
+        # Overflow leaves inf in a table and in its bound.
         table = np.zeros((orders, width, len(segments)))
         for i, seg in enumerate(segments):
             table[0, :len(seg), i] = seg
@@ -167,7 +164,9 @@ class PiecewisePoly:
             for p in range(width - 1, -1, -1):
                 acc *= t
                 acc += table[:, None, p]
-        self._coefs = table
+            # (orders, segments): sum |coefficient|.  Every width is <= 1,
+            # so this bounds every value of that derivative on the segment
+            self.bounds = np.abs(table).sum(axis=1)
         self._coef_cache = (tuple(table[k, :width - k] for k in range(width))
                             + (table[width, :1],) * (orders - width))
         self.left_ends, self.right_ends = acc[:, 0], acc[:, 1]
@@ -229,11 +228,6 @@ class PiecewisePoly:
             k = int(bad[:, j].argmax())
             raise NotC2(self.knots[j + 1], k, jumps[k, j])
 
-    def range_values(self, name):
-        """(min, max) over [0, 1]; `name` ("m" or "c") labels overflow."""
-        lo, hi = _critical_values(self, 0, name)
-        return float(lo.min()), float(hi.max())
-
 
 @dataclass(frozen=True)
 class AdvectionProfile:
@@ -241,7 +235,6 @@ class AdvectionProfile:
     m' (see build_profile)."""
     spec: ProfileSpec
     sign_signature: tuple        # per segment, in {+1, -1, 0}
-    global_range: tuple          # (min m, max m) over [0,1]
     max_abs_deriv: float
     _poly: PiecewisePoly = field(repr=False, compare=False)
 
@@ -265,7 +258,6 @@ class Potential:
     knots: tuple
     segments: tuple
     _poly: PiecewisePoly = field(repr=False, compare=False)
-    range: tuple = (0.0, 0.0)
 
     @staticmethod
     def from_segments(knots, segments):
@@ -273,9 +265,11 @@ class Potential:
         segments = tuple(tuple(float(c) for c in s) for s in segments)
         _check_pieces(knots, segments, "potential")
         pp = PiecewisePoly(knots, segments)
-        rng = pp.range_values("c")
+        finite = np.isfinite(pp.bounds[0])
+        if not finite.all():
+            raise MalformedSpec(f"c on segment {finite.argmin()} is not finite")
         pp.check_continuity(0)
-        return Potential(knots, segments, pp, rng)
+        return Potential(knots, segments, pp)
 
     @staticmethod
     def constant(value):
@@ -342,11 +336,12 @@ class PeriodicBC:
 def build_profile(spec: ProfileSpec) -> AdvectionProfile:
     """Validate a spec and return the profile.
 
-    Checks, in order: structural well-formedness, finite derivatives,
-    range and max|m'|, C^2 gluing at every interior knot (tolerance
-    1e-12 on m, m', m'', scaled by coefficient size), each segment's sign
-    of m' against its declared tag, and non-constancy.  Raises
-    MalformedSpec / NotC2 / SignMismatch / GloballyConstant accordingly.
+    Checks, in order: structural well-formedness, a finite coefficient
+    bound at every derivative order, finite companion matrices for the
+    range of m', C^2 gluing at every interior knot (tolerance 1e-12 on m,
+    m', m'', scaled by coefficient size), each segment's sign of m'
+    against its declared tag, and non-constancy.  Raises MalformedSpec /
+    NotC2 / SignMismatch / GloballyConstant accordingly.
 
     The sign comes from the (min, max) of m' that also gives max|m'|:
     "constant" if m' is identically zero, else "increasing" if the
@@ -357,11 +352,10 @@ def build_profile(spec: ProfileSpec) -> AdvectionProfile:
     """
     spec.validate_structure()
     pp = PiecewisePoly(spec.knots, spec.segments)
-    finite = np.isfinite(pp._coefs).all(axis=(0, 1))
+    finite = np.isfinite(pp.bounds).all(axis=0)
     if not finite.all():
         raise MalformedSpec(f"profile segment {finite.argmin()} has non-finite derivatives")
-    global_range = pp.range_values("m")
-    lo, hi = _critical_values(pp, 1, "m'")
+    lo, hi = _slope_range(pp)
     scales = np.maximum(np.abs(lo), np.abs(hi))
     pp.check_continuity(2)
 
@@ -380,7 +374,6 @@ def build_profile(spec: ProfileSpec) -> AdvectionProfile:
     return AdvectionProfile(
         spec=spec,
         sign_signature=tuple(signature),
-        global_range=global_range,
         max_abs_deriv=float(scales.max()),
         _poly=pp,
     )

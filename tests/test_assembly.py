@@ -249,7 +249,7 @@ def test_neumann_paper_bound_across_templates():
     sum to zero, so the bound holds discretely, boundary layers at
     m'(boundary) != 0 included."""
     c = Potential.from_segments((0.0, 1.0), ((1.0, 1.0, -1.0),))
-    c_lo, c_hi = c.range
+    c_lo, c_hi = 1.0, 1.25          # c(0) = c(1) and c(1/2)
     params = {"example1": (0.15, 0.4, 0.6, 0.85), "example2": (0.3, 0.7),
               "example3": (0.35, 0.6), "t1": (0.15, 0.3, 0.45, 0.6, 0.8),
               "t2": (0.1, 0.25, 0.4, 0.55, 0.7, 0.85),

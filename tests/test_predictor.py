@@ -4,7 +4,7 @@ import pytest
 from scipy.optimize import brentq
 
 from adveig.assembly import SubBC
-from adveig.errors import PreconditionViolated
+from adveig.errors import NotPeriodic, PreconditionViolated
 from adveig.maxset import boundedness, decompose, decompose_periodic
 from adveig.predictor import (LimitTerm, _argmin_set, _gll_eigenvalue,
                               _sub_eigenvalue, frak_L, periodic_prediction,
@@ -112,15 +112,18 @@ def test_prediction_never_below_min_c():
                          ("example2", (0.3, 0.7))):
         prof = build_profile(builtin(name, *params))
         pred = predict_limit(decompose(prof), c, RobinBC.neumann())
-        assert pred.value >= c.range[0] - 1e-6
+        assert pred.value >= 0.2 - 1e-6      # min c = c(1/2)
 
 
 def test_periodic_prediction_isolated_max():
+    # c = 0.3 + (circle distance to 0.25)^2, so c(0) = c(1)
     bump = build_profile(builtin("periodic_bump", 0.25))
-    c = Potential.from_segments((0.0, 1.0), ((0.3 + 0.0625, -0.5, 1.0),))
+    c = Potential.from_segments((0.0, 0.75, 1.0),
+                                ((0.3625, -0.5, 1.0), (0.55, -1.0, 1.0)))
     assert periodic_prediction(bump, c).value == pytest.approx(0.3, abs=1e-12)
     # c -> c + sigma shifts the prediction by exactly sigma
-    c2 = Potential.from_segments((0.0, 1.0), ((1.3 + 0.0625, -0.5, 1.0),))
+    c2 = Potential.from_segments((0.0, 0.75, 1.0),
+                                 ((1.3625, -0.5, 1.0), (1.55, -1.0, 1.0)))
     assert periodic_prediction(bump, c2).value == pytest.approx(1.3, abs=1e-12)
 
 
@@ -212,6 +215,15 @@ def test_prediction_and_trichotomy_agree(bc):
 def test_periodic_preconditions():
     with pytest.raises(PreconditionViolated):
         periodic_prediction(build_profile(builtin("vee", 0.5)), C0)
+    # m'(0) = 1 but m'(1) = -1: m does not wrap
+    kink = ProfileSpec((0.0, 0.5, 1.0), ((0.0, 1.0, -1.0), (0.25, 0.0, -1.0)),
+                       ("increasing", "decreasing"))
+    with pytest.raises(NotPeriodic):
+        periodic_prediction(build_profile(kink), Potential.from_coeffs([0.0, 1.0]))
+    # c = x does not wrap
+    with pytest.raises(NotPeriodic):
+        periodic_prediction(build_profile(builtin("periodic_bump", 0.25)),
+                            Potential.from_coeffs([0.0, 1.0]))
 
 
 def test_argmin_tie_uses_the_pair_error_estimates():
