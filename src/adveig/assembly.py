@@ -13,7 +13,15 @@ bitwise unchanged.  With B(x) = x/(e^x - 1):
 No m'', no e^{2sm} and no overflow appear; s = 0 gives the standard
 three-point Laplacian.  The unsymmetrized stiffness rows sum to zero, so
 under Neumann or periodic data constant c is the exact eigenvalue for
-every s.  The one resolution guard is max |d| <= 0.5.
+every s.
+
+The one resolution guard asks for what the layers need.  A 1/s layer
+forms only at an end where m' != 0, so each end cell's |d| must be at
+most 0.5.  Every other layer is at least s^(-1/2) wide, so h sqrt(s
+max|m'|) must be at most 1.  Interior cells may carry drifts in the
+hundreds: there w is exponentially small and the fitted flux is exact
+for the exponential.  B is evaluated so that such drifts neither
+overflow nor warn.
 
 Grids are vertex-centered.  A Neumann/Robin end keeps its node with a
 half cell, the closure hbar phi' = +-ell phi adding 2 (ell/hbar)/h to
@@ -38,7 +46,9 @@ from .profile import AdvectionProfile, PeriodicBC, Potential, RobinBC
 from .spectral import EigenPair, SymTridiag, smallest_eig
 
 _SQRT2 = math.sqrt(2.0)
-_MAX_DRIFT = 0.5
+_MAX_END_DRIFT = 0.5
+_MAX_LAYER_STEP = 1.0   # h sqrt(s max|m'|)
+_EXP_FLAT = 40.0        # e^x - 1 rounds to e^x past this
 _BLOCK = 1 << 15        # cells per vectorized block: keeps temporaries small
 
 
@@ -96,13 +106,25 @@ def _blocks(n):
 
 def _cell_drift(d, profile, s, a, h):
     """Fill d[i] = s * integral of m' over [a + i h, a + (i+1) h]
-    (Simpson's rule) and return max |d|."""
-    dmax = 0.0
+    (Simpson's rule)."""
     for lo, hi in _blocks(d.size):
         f = profile(a + 0.5 * h * np.arange(2 * lo, 2 * hi + 1), 1)  # ends, midpoints
         d[lo:hi] = (s * h / 6.0) * (f[:-1:2] + 4.0 * f[1::2] + f[2::2])
-        dmax = max(dmax, float(np.abs(d[lo:hi]).max()))
-    return dmax
+
+
+def _bernoulli_pair(x):
+    """(B(x), B(-x)) for B(x) = x/(e^x - 1), with no overflow.  Past
+    |x| = _EXP_FLAT, B(|x|) = |x| e^-|x| and B(-|x|) = |x| to rounding."""
+    bp = np.divide(x, np.expm1(np.minimum(x, _EXP_FLAT)), out=np.ones_like(x),
+                   where=x != 0.0)
+    bm = bp + x                         # B(-x) = B(x) + x
+    flat = np.abs(x) > _EXP_FLAT
+    if flat.any():
+        xf = x[flat]
+        tail = np.abs(xf) * np.exp(-np.abs(xf))
+        bp[flat] = np.where(xf > 0.0, tail, -xf)
+        bm[flat] = np.where(xf > 0.0, xf, tail)
+    return bp, bm
 
 
 def _build(a, b, n, c, ends, s=0.0, profile=None):
@@ -128,13 +150,13 @@ def _build(a, b, n, c, ends, s=0.0, profile=None):
     diag = np.zeros(n_cells + 1)        # on the circle entry n is node 0
     d = np.zeros(n_cells)
     if s:
-        dmax = _cell_drift(d, profile, s, a, h)
-        if dmax > _MAX_DRIFT:
-            raise GridTooCoarse(h, dmax)
+        _cell_drift(d, profile, s, a, h)
+        end = max(abs(float(d[0])), abs(float(d[-1])))
+        layer = h * math.sqrt(s * profile.max_abs_deriv)
+        if end > _MAX_END_DRIFT or layer > _MAX_LAYER_STEP:
+            raise GridTooCoarse(h, end, layer)
     for lo, hi in _blocks(n_cells):
-        x = 2.0 * d[lo:hi]
-        bp = np.divide(x, np.expm1(x), out=np.ones_like(x), where=x != 0.0)
-        bm = bp + x                     # B(-x) = B(x) + x
+        bp, bm = _bernoulli_pair(2.0 * d[lo:hi])
         diag[lo:hi] += bm
         diag[lo + 1:hi + 1] += bp
         np.sqrt(bp * bm, out=d[lo:hi])  # B(2d) B(-2d) = (d / sinh d)^2

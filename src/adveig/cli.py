@@ -176,9 +176,9 @@ def _prediction_payload(pred):
 
 def _predict(profile, potential, bc):
     """(decomposition, prediction) under Robin or periodic data."""
-    if isinstance(bc, PeriodicBC):
-        bc.validate(profile, potential)
+    if isinstance(bc, PeriodicBC):         # the order periodic_prediction uses
         decomp = maxset.decompose_periodic(profile)
+        bc.validate(profile, potential)
     else:
         decomp = maxset.decompose(profile)
     return decomp, predictor.predict_limit(decomp, potential, bc)
@@ -323,7 +323,9 @@ def _add_profile_args(p, with_c=True):
 def _add_grid_args(p):
     policy = lab.DEFAULT_POLICY
     p.add_argument("--grid-multiplier", type=_number, default=None,
-                   help="override the n(s) policy multiplier "
+                   help="override the n(s) policy multiplier: n = multiplier "
+                        "* s max|m'|, or 8 * multiplier * sqrt(s max|m'|) "
+                        "where m' = 0 at both ends "
                         f"(default {policy.multiplier:g})")
     p.add_argument("--grid-floor", type=int, default=None,
                    help=f"override the n(s) policy floor (default {policy.floor})")

@@ -97,12 +97,13 @@ class NonFinite(NumericalError):
 class GridTooCoarse(ValidationError):
     code = "GridTooCoarse"
 
-    def __init__(self, h, drift):
+    def __init__(self, h, drift, layer):
         super().__init__(
-            f"max |s dm| per cell = {drift:.3f} > 0.5; boundary layers unresolved "
-            f"(h={h:.3e})")
+            f"layers unresolved at h={h:.3e}: end-cell |s dm| = {drift:.3f} "
+            f"(limit 0.5), h sqrt(s max|m'|) = {layer:.3f} (limit 1)")
         self.h = h
         self.drift = drift
+        self.layer = layer
 
 
 class NotPeriodic(ValidationError):

@@ -27,20 +27,36 @@ from .assembly import (DiscreteOperator, _build, assemble_transformed,
 from .errors import (AdveigError, InsufficientData, IntervalOutOfDomain,
                      KStarUndefined, MassTooSmall, NoDecay, NonPositiveLambda,
                      NoOverlap, NumericalError, ValidationError)
+from .maxset import _zero_tol
 
 
 @dataclass(frozen=True)
 class GridPolicy:
-    """n(s) = max(floor, ceil(multiplier * s * max|m'|)): resolves
-    the exp(-s dist)-scale boundary layers; every cell drift s |dm| is
-    then at most 1/multiplier, well inside the assembly guard 0.5."""
+    """Default grid size n(s), at least floor, sized by the narrowest
+    layer the eigenfunction can have.
+
+    A 1/s boundary layer forms only at an end where m' != 0.  Then n =
+    multiplier * s * max|m'|, and every cell drift s |dm| is at most
+    1/multiplier.  Where m' = 0 at both ends (zero to maxset's
+    tolerance), every layer is at least s^(-1/2) wide: an interior
+    maximum has m' = 0 and a plateau end m' = m'' = 0.  Then n =
+    8 * multiplier * sqrt(s * max|m'|), so h sqrt(s max|m'|) is about
+    1/(8 multiplier).  Away from the maxima, where the drift is large,
+    w is exponentially small and each fitted cell is exact for the
+    exponential.  Both grids sit well inside the assembly guard."""
     multiplier: float = 16.0
     floor: int = 2000
 
     def n_for(self, profile, s):
-        return int(max(self.floor,
-                       math.ceil(self.multiplier * max(s, 1.0)
-                                 * profile.max_abs_deriv)))
+        tol = _zero_tol(profile)
+        last = len(profile.knots) - 1
+        if (abs(profile.knot_values(0)[1]) <= tol
+                and abs(profile.knot_values(last)[1]) <= tol):
+            size = 8.0 * self.multiplier * math.sqrt(
+                max(s, 1.0) * profile.max_abs_deriv)
+        else:
+            size = self.multiplier * max(s, 1.0) * profile.max_abs_deriv
+        return int(max(self.floor, math.ceil(size)))
 
 
 DEFAULT_POLICY = GridPolicy()

@@ -123,6 +123,15 @@ def charpoly_smallest(diag, offdiag, tol=1e-12):
     return 0.5 * (lo + hi)
 
 
+# one parameter tuple per builtin template
+TEMPLATE_PARAMS = {"example1": (0.15, 0.4, 0.6, 0.85), "example2": (0.3, 0.7),
+                   "example3": (0.35, 0.6), "t1": (0.15, 0.3, 0.45, 0.6, 0.8),
+                   "t2": (0.1, 0.25, 0.4, 0.55, 0.7, 0.85),
+                   "monotone_increasing": (), "vee": (0.5,),
+                   "power_max": (0.5, 2), "power_well": (0.5, 2),
+                   "periodic_bump": (0.25,)}
+
+
 def reflect_spec(spec: ProfileSpec) -> ProfileSpec:
     """Spec of the reflected profile m(1 - x)."""
     knots = tuple(1.0 - k for k in reversed(spec.knots))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -107,6 +108,22 @@ def test_grid_too_coarse_guard():
     assert info.value.drift == pytest.approx(400.0 / 21)
 
 
+def test_large_interior_drifts_neither_overflow_nor_lose_positivity():
+    """t1 is flat at both ends, so at s = 1e5 the guard accepts n = 1000
+    although interior cell drifts reach 625, where e^{2d} overflows."""
+    prof = build_profile(builtin("t1", *T1))
+    c = Potential.from_coeffs([2.9, -12.0, 40.0])
+    s = 1e5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        op = assemble_transformed(prof, c, RobinBC.neumann(), s, 1000)
+        pair = principal_eigen(op)
+    assert np.abs(s * np.diff(prof(op.nodes))).max() > 600.0
+    assert np.all(np.isfinite(op.matrix.diag)) and np.all(np.isfinite(op.matrix.offdiag))
+    assert math.isfinite(pair.lam)
+    assert np.all(pair.vector > 0)
+
+
 def test_zero_s_is_the_subinterval_operator():
     c = Potential.from_coeffs([1.0, -2.0, 3.0])
     prof = build_profile(builtin("t1", *T1))
@@ -136,13 +153,13 @@ def test_constant_potential_is_the_eigenvalue(s):
 
 
 def test_large_s_eigenvalue_is_a_converged_rayleigh_quotient():
-    """t1 at s = 1e4 on the default grid (n = 1e6) has a certificate
-    margin of 0.063, so a closed bracket alone is not an answer; the
-    Rayleigh quotient must match LAPACK's stebz/stein value 2.00019763."""
+    """t1 at s = 1e4 on n = 1e6 has a certificate margin of 0.063, so a
+    closed bracket alone is not an answer; the Rayleigh quotient must
+    match LAPACK's stebz/stein value 2.00019763."""
     prof = build_profile(builtin("t1", *T1))
     c = Potential.from_coeffs([2.9, -12.0, 40.0])
     s = 1e4
-    op = assemble_transformed(prof, c, RobinBC.neumann(), s, DEFAULT_POLICY.n_for(prof, s))
+    op = assemble_transformed(prof, c, RobinBC.neumann(), s, 1_000_001)
     assert abs(principal_eigen(op).lam - 2.00019763) <= 1e-5
 
 
@@ -250,14 +267,9 @@ def test_neumann_paper_bound_across_templates():
     m'(boundary) != 0 included."""
     c = Potential.from_segments((0.0, 1.0), ((1.0, 1.0, -1.0),))
     c_lo, c_hi = 1.0, 1.25          # c(0) = c(1) and c(1/2)
-    params = {"example1": (0.15, 0.4, 0.6, 0.85), "example2": (0.3, 0.7),
-              "example3": (0.35, 0.6), "t1": (0.15, 0.3, 0.45, 0.6, 0.8),
-              "t2": (0.1, 0.25, 0.4, 0.55, 0.7, 0.85),
-              "monotone_increasing": (), "vee": (0.5,),
-              "power_max": (0.5, 2), "power_well": (0.5, 2),
-              "periodic_bump": (0.25,)}
-    assert set(params) == set(TEMPLATES)
-    for name, p in params.items():
+    from conftest import TEMPLATE_PARAMS
+    assert set(TEMPLATE_PARAMS) == set(TEMPLATES)
+    for name, p in TEMPLATE_PARAMS.items():
         prof = build_profile(builtin(name, *p))
         for s in (25.0, 50.0, 100.0, 200.0):
             op = assemble_transformed(prof, c, RobinBC.neumann(), s,

@@ -284,10 +284,15 @@ def test_predict_periodic_bc(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["verdict"] == "finite"
     assert doc["value"] == pytest.approx(0.7)
-    # wrap-incompatible profile fails structural validation first
+    # m'(0) < 0 fails the periodic decomposition before the wrap check,
+    # as in predictor.periodic_prediction
     code, _, err = run_cli(capsys, "predict", "--template", "vee:0.5",
                            "--c", "zero", "--bc", "periodic")
-    assert code == 2 and err.startswith("NotPeriodic")
+    assert code == 2 and err.startswith("PreconditionViolated:")
+    # m'(0) > 0 with an interior maximum, but m' does not wrap
+    code, _, err = run_cli(capsys, "predict", "--template", "power_max:0.5,2",
+                           "--c", "zero", "--bc", "periodic")
+    assert code == 2 and err.startswith("NotPeriodic: m^(1) wrap mismatch")
     # wrap-compatible but m'(0) < 0: periodic normalization violated
     from conftest import reflect_spec
     from adveig.profile import builtin as make_spec, spec_to_dict

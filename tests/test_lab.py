@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adveig import lab
-from adveig.assembly import SubBC, assemble_subinterval, principal_eigen
+from adveig.assembly import (SubBC, assemble_subinterval, assemble_transformed,
+                             principal_eigen)
 from adveig.errors import (InsufficientData, IntervalOutOfDomain,
                            KStarUndefined, NonPositiveLambda, NoOverlap,
                            NumericalError, ValidationError)
@@ -16,7 +17,9 @@ from adveig.lab import (GridPolicy, LimitProfile, RescaledProfile, SweepRecord,
                         profile_distance, rescaled_profile,
                         segment_restriction_distance, sweep)
 from adveig.maxset import decompose
-from adveig.profile import Potential, RobinBC, build_profile, builtin
+from adveig.profile import (TEMPLATES, Potential, RobinBC, build_profile,
+                            builtin)
+from conftest import TEMPLATE_PARAMS
 
 C0 = Potential.zero()
 CX = Potential.from_coeffs([0.0, 1.0])
@@ -24,6 +27,50 @@ CX = Potential.from_coeffs([0.0, 1.0])
 
 def rec(s, lam):
     return SweepRecord(s=float(s), n=100, lam=float(lam))
+
+
+# -- grid policy ---------------------------------------------------------
+
+FLAT_ENDED = {"example1", "example2", "example3", "t1", "t2"}
+
+
+def test_grid_policy_is_linear_in_s_where_m_prime_is_nonzero_at_an_end():
+    assert set(TEMPLATE_PARAMS) == set(TEMPLATES)
+    for name in set(TEMPLATES) - FLAT_ENDED:
+        prof = build_profile(builtin(name, *TEMPLATE_PARAMS[name]))
+        ends = (prof.knot_values(0)[1], prof.knot_values(len(prof.knots) - 1)[1])
+        assert max(abs(v) for v in ends) > 0.1, name
+        for policy in (GridPolicy(), GridPolicy(multiplier=48.0)):
+            for s in (1.0, 25.0, 400.0, 1e4):
+                old = int(max(policy.floor, math.ceil(
+                    policy.multiplier * max(s, 1.0) * prof.max_abs_deriv)))
+                assert policy.n_for(prof, s) == old, (name, s)
+
+
+def test_grid_policy_follows_the_sqrt_layer_where_m_is_flat_at_both_ends():
+    for name in FLAT_ENDED:
+        prof = build_profile(builtin(name, *TEMPLATE_PARAMS[name]))
+        for mult in (16.0, 48.0):
+            for s in (400.0, 1e4):
+                n = math.ceil(8.0 * mult * math.sqrt(s * prof.max_abs_deriv))
+                assert GridPolicy(multiplier=mult).n_for(prof, s) == n, (name, s)
+        assert GridPolicy().n_for(prof, 1.0) == 2000
+    for name in ("t1", "t2"):
+        prof = build_profile(builtin(name, *TEMPLATE_PARAMS[name]))
+        assert GridPolicy().n_for(prof, 1e4) <= 40_000
+
+
+def test_t1_at_large_s_on_the_default_grid():
+    """The default grid (n = 32001) gives t1's lambda at s = 1e4 to 1e-7;
+    the n = 4000, 8000 and 16000 values lie within 4e-9 of the pin."""
+    prof = build_profile(builtin("t1", *TEMPLATE_PARAMS["t1"]))
+    c = Potential.from_coeffs([2.9, -12.0, 40.0])
+    pin = 2.000173983
+    [record] = sweep(prof, c, RobinBC.neumann(), [1e4])
+    assert abs(record.lam - pin) <= 1e-7
+    for n in (4000, 8000, 16000):
+        op = assemble_transformed(prof, c, RobinBC.neumann(), 1e4, n)
+        assert abs(principal_eigen(op).lam - pin) <= 4e-9, n
 
 
 # -- sweep ---------------------------------------------------------------
