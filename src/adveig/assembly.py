@@ -23,11 +23,13 @@ hundreds: there w is exponentially small and the fitted flux is exact
 for the exponential.  B is evaluated so that such drifts neither
 overflow nor warn.
 
-Grids are vertex-centered.  A Neumann/Robin end keeps its node with a
-half cell, the closure hbar phi' = +-ell phi adding 2 (ell/hbar)/h to
+Grids are vertex-centered.  Each end's closure is beta or None, read
+from RobinBC.betas for the full problem and from SubBC (N or D) for a
+sub-interval.  A kept end (beta = ell/hbar, 0 for Neumann) keeps its
+node with a half cell, the closure phi' = +-beta phi adding 2 beta/h to
 its diagonal, and is symmetrized by scaling that unknown by sqrt(2)
 (eigenvalues unchanged, eigenvector entries scale back).  A Dirichlet
-end drops its node.  With n the matrix dimension this gives
+end (None) drops its node.  With n the matrix dimension this gives
 h = (b-a)/(n-1) when both ends are kept and h = (b-a)/(n+1) when both
 are dropped.  On the circle (PeriodicBC) the unknowns are x_i = i/n, the
 nodes close at x_n = 1 and the matrix carries a cyclic corner: an
@@ -54,20 +56,13 @@ _BLOCK = 1 << 15        # cells per vectorized block: keeps temporaries small
 
 @dataclass(frozen=True)
 class SubBC:
-    """Closure at one end of a sub-interval problem: N, D, or R with the
-    inherited (hbar, ell) pair of the global boundary condition."""
+    """Closure at one end of a sub-interval problem: N or D.  Boundary
+    data become closures only through RobinBC.betas."""
     kind: str
-    hbar: float | None = None
-    ell: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("N", "D", "R"):
+        if self.kind not in ("N", "D"):
             raise ValidationError(f"unknown sub-boundary kind {self.kind!r}")
-        if self.kind == "R":
-            if self.hbar is None or self.ell is None:
-                raise ValidationError("R closure needs (hbar, ell)")
-            if self.hbar < 0 or self.ell < 0 or self.hbar + self.ell <= 0:
-                raise ValidationError("R closure needs hbar, ell >= 0, hbar+ell > 0")
 
     @staticmethod
     def N():
@@ -77,18 +72,9 @@ class SubBC:
     def D():
         return SubBC("D")
 
-    @staticmethod
-    def R(hbar, ell):
-        return SubBC("R", float(hbar), float(ell))
-
     def beta(self):
-        """ell/hbar of the closure phi' = +-beta phi, or None for a
-        Dirichlet end."""
-        if self.kind == "N":
-            return 0.0
-        if self.kind == "D" or self.hbar == 0.0:
-            return None
-        return self.ell / self.hbar
+        """0 for a Neumann end, None for a dropped Dirichlet end."""
+        return 0.0 if self.kind == "N" else None
 
 
 @dataclass(frozen=True)
@@ -206,20 +192,17 @@ def assemble_transformed(profile: AdvectionProfile, c: Potential,
         bc.validate(profile, c)
         ends = None
     else:
-        ends = (SubBC.R(bc.hbar1, bc.ell1).beta(), SubBC.R(bc.hbar2, bc.ell2).beta())
+        ends = bc.betas()
     return _build(0.0, 1.0, n, c, ends, s, profile)
 
 
 def assemble_subinterval(c: Potential, a: float, b: float,
                          left: SubBC, right: SubBC, n: int) -> DiscreteOperator:
-    """Discretization of -phi'' + c phi on (a, b) with N/D/R closures;
-    the s = 0 case of the transformed assembly."""
+    """Discretization of -phi'' + c phi on (a, b) with N/D closures; the
+    s = 0 case of the transformed assembly.  A Robin end exists only at
+    0 or 1, where assemble_transformed at s = 0 gives it."""
     if not (0.0 <= a < b <= 1.0):
         raise ValidationError("need 0 <= a < b <= 1")
-    if left.kind == "R" and a != 0.0:
-        raise ValidationError("R closure inherits the global condition at 0")
-    if right.kind == "R" and b != 1.0:
-        raise ValidationError("R closure inherits the global condition at 1")
     return _build(a, b, n, c, (left.beta(), right.beta()))
 
 

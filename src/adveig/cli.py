@@ -20,8 +20,6 @@ import sys
 import numpy as np
 
 from . import lab, maxset, predictor
-from .assembly import assemble_transformed, eigenfunction_on_grid, \
-    principal_eigen
 from .errors import MalformedSpec, NumericalError, ValidationError
 from .profile import (PeriodicBC, Potential, RobinBC, TEMPLATES, build_profile,
                       builtin, load_profile_json, potential_from_dict,
@@ -176,11 +174,7 @@ def _prediction_payload(pred):
 
 def _predict(profile, potential, bc):
     """(decomposition, prediction) under Robin or periodic data."""
-    if isinstance(bc, PeriodicBC):         # the order periodic_prediction uses
-        decomp = maxset.decompose_periodic(profile)
-        bc.validate(profile, potential)
-    else:
-        decomp = maxset.decompose(profile)
+    decomp = predictor.decompose_under(profile, potential, bc)
     return decomp, predictor.predict_limit(decomp, potential, bc)
 
 
@@ -210,11 +204,10 @@ def _cmd_solve(args):
     profile, potential = _load_inputs(args)
     bc = _parse_bc(args.bc)
     n = args.n if args.n is not None else _grid_policy(args).n_for(profile, args.s)
-    op = assemble_transformed(profile, potential, bc, args.s, n)
-    pair = principal_eigen(op)
-    sys.stdout.write(_fmt(pair.lam) + "\n")
+    record = lab._solve_one(profile, potential, bc, args.s, n)
+    sys.stdout.write(_fmt(record.lam) + "\n")
     if args.dump_eigenfunction:
-        x, w = eigenfunction_on_grid(op, pair)
+        x, w = record.grid
         with open(args.dump_eigenfunction, "w") as fh:
             fh.write("x,w\n")
             for xi, wi in zip(x, w):
@@ -262,7 +255,7 @@ def _cmd_report(args):
     profile, potential = _load_inputs(args)
     bc = _parse_bc(args.bc)
     decomp, pred = _predict(profile, potential, bc)
-    outdir = args.outdir or os.environ.get("ADVEIG_OUTDIR", ".")
+    outdir = args.outdir or "."
     os.makedirs(outdir, exist_ok=True)
 
     payload = {"prediction": _prediction_payload(pred)}
@@ -376,7 +369,7 @@ def build_parser():
     p.add_argument("--ladder", required=True)
     p.add_argument("--mass-intervals", default="")
     p.add_argument("--outdir", default=None,
-                   help="plot-data directory (default $ADVEIG_OUTDIR or .)")
+                   help="plot-data directory (default .)")
     _add_grid_args(p)
     p.set_defaults(func=_cmd_report)
 

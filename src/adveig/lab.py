@@ -27,7 +27,7 @@ from .assembly import (DiscreteOperator, _build, assemble_transformed,
 from .errors import (AdveigError, InsufficientData, IntervalOutOfDomain,
                      KStarUndefined, MassTooSmall, NoDecay, NonPositiveLambda,
                      NoOverlap, NumericalError, ValidationError)
-from .maxset import _zero_tol
+from .maxset import LEFT_BOUNDARY, RIGHT_BOUNDARY, _sloped, _zero_tol
 
 
 @dataclass(frozen=True)
@@ -49,9 +49,8 @@ class GridPolicy:
 
     def n_for(self, profile, s):
         tol = _zero_tol(profile)
-        last = len(profile.knots) - 1
-        if (abs(profile.knot_values(0)[1]) <= tol
-                and abs(profile.knot_values(last)[1]) <= tol):
+        if not (_sloped(profile, 0, LEFT_BOUNDARY, tol)
+                or _sloped(profile, len(profile.knots) - 1, RIGHT_BOUNDARY, tol)):
             size = 8.0 * self.multiplier * math.sqrt(
                 max(s, 1.0) * profile.max_abs_deriv)
         else:
@@ -95,7 +94,7 @@ class LimitProfile:
     values: np.ndarray
 
 
-def _solve_one(profile, c, bc, s, n, mass_intervals):
+def _solve_one(profile, c, bc, s, n, mass_intervals=()):
     t0 = time.perf_counter()
     op = assemble_transformed(profile, c, bc, s, n)
     pair = principal_eigen(op)
@@ -232,6 +231,8 @@ def rescaled_profile(x, w, x0, k_star, s, mass_radius):
     |y| <= RESCALED_Y_MAX intersected with the grid's image."""
     if k_star is None:
         raise KStarUndefined("x0 has no defined degeneracy order")
+    if not (math.isfinite(s) and s > 0):
+        raise ValidationError("s must be finite and > 0")
     x = np.asarray(x, dtype=float)
     w = np.asarray(w, dtype=float)
     local = mass_distribution(x, w, [(max(x[0], x0 - mass_radius),
@@ -279,24 +280,19 @@ def limit_ode_ground_state(m_kstar: float, k_star: int, half_line: str = "none",
         return c1 * c1 * y ** (2 * (k - 1)) + c2 * y ** (k - 2)
 
     Y = float(y_max) if y_max is not None else _default_truncation(m_kstar, k)
-    if half_line == "none":
-        a, b, g_left, g_right = -Y, Y, None, None
-    elif half_line == "left":
-        a, b, g_left, g_right = -Y, 0.0, None, 0.0
-    else:
-        a, b, g_left, g_right = 0.0, Y, 0.0, None
-
-    op = _build(a, b, n, V, (g_left, g_right))
+    # an infinite side is truncated at +-Y under Dirichlet data (None),
+    # the other is closed at 0 by Neumann data (beta = 0)
+    a, b = (sign * Y if sign in infinite_ends else 0.0 for sign in (-1, 1))
+    closures = tuple(None if sign in infinite_ends else 0.0 for sign in (-1, 1))
+    op = _build(a, b, n, V, closures)
     pair = principal_eigen(op)
     x, vals = eigenfunction_on_grid(op, pair)
 
     # localization check at Dirichlet truncation ends
     peak = float(np.max(np.abs(vals)))
     edge = 0.05 * (b - a)
-    for side, is_trunc in (("left", g_left is None), ("right", g_right is None)):
-        if not is_trunc:
-            continue
-        sel = x <= a + edge if side == "left" else x >= b - edge
+    for sign in infinite_ends:
+        sel = x <= a + edge if sign < 0 else x >= b - edge
         if float(np.max(np.abs(vals[sel]))) > 1e-4 * peak:
             raise NoDecay(f"ground state not localized within [{a}, {b}]; "
                           "increase y_max")

@@ -6,7 +6,9 @@ at boundary isolated maxima only when the matching ell vanishes, the
 inner-plateau sub-interval eigenvalues (the quantity frak_L), and
 Robin-closed sub-interval eigenvalues for plateaus touching a boundary,
 which inherit the global (hbar, ell) pair at that end.  Unbounded cases
-are delegated to the boundedness trichotomy.
+are delegated to the boundedness trichotomy.  A plateau end that
+touches the boundary is closed by RobinBC.betas, and the solve below is
+the only solver of Robin-closed plateaus.
 
 Each sub-interval eigenvalue is a spectral-element solve with one
 Gauss-Lobatto-Legendre (GLL) element per piece of c, which converges
@@ -27,10 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dsyevr
 
-from .assembly import SubBC
 from .errors import NoConvergence
 from .maxset import (SEGMENT_SUB_BC, MaxSetDecomposition, boundedness,
-                     decompose_periodic, shielded)
+                     decompose, decompose_periodic, shielded)
 from .profile import PeriodicBC, Potential, RobinBC
 
 P_FINE, P_COARSE = 16, 12     # GLL element degrees of the value and its check
@@ -158,7 +159,7 @@ def _gll_eigenvalue(c, a, b, betas, p):
     return float(floor + energy / total)
 
 
-def _sub_eigenvalue(c, a, b, left, right):
+def _sub_eigenvalue(c, a, b, betas):
     """Sub-interval principal eigenvalue at GLL degree P_FINE, and its gap
     to degree P_COARSE as the error estimate.
 
@@ -167,20 +168,23 @@ def _sub_eigenvalue(c, a, b, left, right):
     not a certified bracket.  It is at rounding level when degree
     P_COARSE already resolves the eigenfunction, and grows when c is
     steep on [a, b]."""
-    betas = (left.beta(), right.beta())
     fine = _gll_eigenvalue(c, a, b, betas, P_FINE)
     return fine, abs(fine - _gll_eigenvalue(c, a, b, betas, P_COARSE))
 
 
+def _closures(kinds, bc):
+    """beta or None for each closure kind of SEGMENT_SUB_BC: N is 0, D is
+    None, and R is bc's closure at that end."""
+    return tuple(bc.betas()[end] if kind == "R" else (0.0 if kind == "N" else None)
+                 for end, kind in enumerate(kinds))
+
+
 def _segment_term(seg, c, bc):
-    """Sub-interval eigenvalue term of a plateau; an R end inherits the
-    global Robin pair of bc at the boundary the class touches."""
-    left, right = SEGMENT_SUB_BC[seg.cls]
-    lam, err = _sub_eigenvalue(
-        c, seg.a, seg.b,
-        SubBC.R(bc.hbar1, bc.ell1) if left == "R" else SubBC(left),
-        SubBC.R(bc.hbar2, bc.ell2) if right == "R" else SubBC(right))
-    return LimitTerm(left + right, lam, seg, (seg.a, seg.b), err)
+    """Sub-interval eigenvalue term of a plateau, closed as SEGMENT_SUB_BC
+    says for its class."""
+    kinds = SEGMENT_SUB_BC[seg.cls]
+    lam, err = _sub_eigenvalue(c, seg.a, seg.b, _closures(kinds, bc))
+    return LimitTerm("".join(kinds), lam, seg, (seg.a, seg.b), err)
 
 
 def frak_L(decomp: MaxSetDecomposition, c: Potential) -> float:
@@ -227,10 +231,19 @@ def predict_limit(decomp: MaxSetDecomposition, c: Potential,
     return LimitPrediction(True, best, terms, argmin)
 
 
+def decompose_under(profile, c: Potential, bc: RobinBC | PeriodicBC):
+    """The decomposition predict_limit reads under bc.  On the circle,
+    decompose_periodic (which needs m'(0) > 0) runs before the wrap check
+    of the data (NotPeriodic)."""
+    if isinstance(bc, PeriodicBC):
+        decomp = decompose_periodic(profile)
+        bc.validate(profile, c)
+        return decomp
+    return decompose(profile)
+
+
 def periodic_prediction(profile, c: Potential) -> LimitPrediction:
     """The periodic limit min{frak_L, min c over isolated maxima}: the
-    circle form of predict_limit, which has no boundary terms.  Requires
-    m'(0) > 0 (periodic normalization) and data that wrap (NotPeriodic)."""
-    decomp = decompose_periodic(profile)
-    PeriodicBC().validate(profile, c)
-    return predict_limit(decomp, c, PeriodicBC())
+    circle form of predict_limit, which has no boundary terms.  The
+    checks and their order are decompose_under's."""
+    return predict_limit(decompose_under(profile, c, PeriodicBC()), c, PeriodicBC())

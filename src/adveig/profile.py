@@ -310,6 +310,13 @@ class RobinBC:
         if self.hbar1 + self.ell1 <= 0 or self.hbar2 + self.ell2 <= 0:
             raise ValidationError("need hbar + ell > 0 at each endpoint")
 
+    def betas(self):
+        """The closure at 0 and at 1: beta = ell/hbar of phi' = +-beta phi
+        on a kept end, or None where hbar = 0 drops the end (Dirichlet).
+        Every solver reads the boundary data through this rule."""
+        return tuple(None if hbar == 0.0 else ell / hbar
+                     for hbar, ell in ((self.hbar1, self.ell1), (self.hbar2, self.ell2)))
+
     @staticmethod
     def neumann():
         return RobinBC(1.0, 0.0, 1.0, 0.0)

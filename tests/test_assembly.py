@@ -12,6 +12,7 @@ from adveig.errors import GridTooCoarse, NotPeriodic, ValidationError
 from adveig.lab import DEFAULT_POLICY, mass_distribution
 from adveig.profile import (Potential, RobinBC, TEMPLATES, build_profile,
                             builtin)
+from adveig.spectral import _delta
 
 C0 = Potential.zero()
 PI2 = math.pi ** 2
@@ -20,6 +21,13 @@ T1 = (0.15, 0.3, 0.45, 0.6, 0.8)
 
 def sub_lambda(c, a, b, left, right, n):
     return principal_eigen(assemble_subinterval(c, a, b, left, right, n)).lam
+
+
+def robin_lambda(c, bc, n):
+    """A Robin end on [0, 1] is the s = 0 transformed operator (see
+    test_zero_s_is_the_subinterval_operator); at s = 0 m is not read."""
+    prof = build_profile(builtin("monotone_increasing"))
+    return principal_eigen(assemble_transformed(prof, c, bc, 0.0, n)).lam
 
 
 def test_analytic_subinterval_eigenvalues():
@@ -32,12 +40,9 @@ def test_analytic_subinterval_eigenvalues():
 
 def test_robin_with_zero_ell_is_neumann():
     c = Potential.from_coeffs([1.0, 0.5])
-    lam_r = sub_lambda(c, 0.0, 0.7, SubBC.R(2.0, 0.0), SubBC.N(), 1200)
-    lam_n = sub_lambda(c, 0.0, 0.7, SubBC.N(), SubBC.N(), 1200)
+    lam_r = robin_lambda(c, RobinBC(2.0, 0.0, 1.0, 0.0), 1200)
+    lam_n = sub_lambda(c, 0.0, 1.0, SubBC.N(), SubBC.N(), 1200)
     assert lam_r == pytest.approx(lam_n, abs=1e-10)
-    # R is only admissible where the global boundary sits
-    with pytest.raises(ValidationError):
-        sub_lambda(c, 0.2, 0.9, SubBC.R(2.0, 0.0), SubBC.N(), 1200)
 
 
 def test_robin_closure_against_analytic_value():
@@ -48,7 +53,7 @@ def test_robin_closure_against_analytic_value():
     from scipy.optimize import brentq
     beta = 1.0
     k = brentq(lambda k: beta * math.sin(k) + k * math.cos(k), 1.6, 3.1)
-    lam = sub_lambda(C0, 0.0, 1.0, SubBC.R(1.0, beta), SubBC.D(), 3000)
+    lam = robin_lambda(C0, RobinBC(1.0, beta, 0.0, 1.0), 3000)
     assert lam == pytest.approx(k ** 2, rel=1e-5)
 
 
@@ -128,11 +133,17 @@ def test_zero_s_is_the_subinterval_operator():
     c = Potential.from_coeffs([1.0, -2.0, 3.0])
     prof = build_profile(builtin("t1", *T1))
     for bc, left, right in ((RobinBC.neumann(), SubBC.N(), SubBC.N()),
-                            (RobinBC(0.0, 1.0, 2.0, 3.0), SubBC.D(), SubBC.R(2.0, 3.0))):
+                            (RobinBC(0.0, 1.0, 2.0, 0.0), SubBC.D(), SubBC.N())):
         full = assemble_transformed(prof, c, bc, 0.0, 500).matrix
         sub = assemble_subinterval(c, 0.0, 1.0, left, right, 500).matrix
         assert np.array_equal(full.diag, sub.diag)
         assert np.array_equal(full.offdiag, sub.offdiag)
+    # a Robin end (beta = 3/2) is that Neumann end plus 2 beta / h
+    full = assemble_transformed(prof, c, RobinBC(0.0, 1.0, 2.0, 3.0), 0.0, 500)
+    assert np.array_equal(full.matrix.diag[:-1], sub.diag[:-1])
+    assert np.array_equal(full.matrix.offdiag, sub.offdiag)
+    assert full.matrix.diag[-1] - sub.diag[-1] == pytest.approx(3.0 / full.grid["h"],
+                                                                rel=1e-9)
 
 
 @pytest.mark.parametrize("s", [1.0, 100.0, 1e4])
@@ -214,19 +225,22 @@ def test_principal_eigen_normalization_and_positivity():
 
 
 def test_degenerate_cluster_gives_one_positive_vector():
-    """example1 with c = 0 under Neumann data has three eigenvalues within
-    1e-8 of each other.  The principal vector is still positive and the
-    same on every call, and its mass near the middle plateau moves
-    smoothly along the ladder instead of jumping between cluster members."""
+    """example1 with c = 0 under Neumann data has three eigenvalues that
+    the solver cannot tell apart: within its certificate margin
+    _delta(||T||inf), far below the gap to the fourth.  The principal
+    vector is still positive and the same on every call, and its mass
+    near the middle plateau moves smoothly along the ladder instead of
+    jumping between cluster members."""
     prof = build_profile(builtin("example1", 0.15, 0.4, 0.6, 0.85))
     masses = []
     for s in (100.0, 200.0, 400.0):
         op = assemble_transformed(prof, C0, RobinBC.neumann(), s,
                                   DEFAULT_POLICY.n_for(prof, s))
         cluster = eigh_tridiagonal(op.matrix.diag, op.matrix.offdiag,
-                                   select="i", select_range=(0, 2),
+                                   select="i", select_range=(0, 3),
                                    eigvals_only=True)
-        assert cluster[2] - cluster[0] <= 1e-8
+        assert cluster[2] - cluster[0] <= _delta(op.matrix.inf_norm())
+        assert cluster[3] - cluster[0] >= 100.0
         pair = principal_eigen(op)
         assert np.all(pair.vector > 0)
         assert np.array_equal(principal_eigen(op).vector, pair.vector)
@@ -291,4 +305,6 @@ def test_validation_errors():
     with pytest.raises(ValidationError):
         assemble_transformed(prof, C0, RobinBC.neumann(), 1.0, 8)
     with pytest.raises(ValidationError):
-        SubBC.R(0.0, 0.0)
+        RobinBC(0.0, 0.0, 1.0, 0.0)
+    with pytest.raises(ValidationError):
+        SubBC("R")

@@ -330,13 +330,13 @@ def test_grid_policy_flags(capsys, monkeypatch):
     assert floor0[1] != run_cli(capsys, *solve, "--n", "2000")[1]
     assert floor0 == run_cli(capsys, *solve, "--grid-floor", "0")
     # a failed eigensolve is a numerical failure, exit code 3
-    import adveig.cli
+    import adveig.lab
     from adveig.errors import NoConvergence
 
     def fail(op):
         raise NoConvergence(6, "forced")
 
-    monkeypatch.setattr(adveig.cli, "principal_eigen", fail)
+    monkeypatch.setattr(adveig.lab, "principal_eigen", fail)
     code, _, err = run_cli(capsys, "solve", "--template",
                            "monotone_increasing", "--bc", "robin:1,0,1,0",
                            "--s", "200", "--c", "const:1")

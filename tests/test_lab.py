@@ -365,6 +365,13 @@ def test_rescaled_profile_errors():
         rescaled_profile(x, np.zeros_like(x), 0.5, 2, 100.0, 0.2)
 
 
+@pytest.mark.parametrize("s", [0.0, -100.0, float("nan"), float("inf")])
+def test_rescaled_profile_needs_finite_positive_s(s):
+    x = np.linspace(0, 1, 101)
+    with pytest.raises(ValidationError, match="s must be finite and > 0"):
+        rescaled_profile(x, np.ones_like(x), 0.5, 2, s, 0.2)
+
+
 def test_component_mass_radius():
     prof = build_profile(builtin("t1", 0.15, 0.3, 0.45, 0.6, 0.8))
     d = decompose(prof)

@@ -1,12 +1,14 @@
+import ast
 import math
+from pathlib import Path
 
 import pytest
 from scipy.optimize import brentq
 
-from adveig.assembly import SubBC
+import adveig
 from adveig.errors import NotPeriodic, PreconditionViolated
 from adveig.maxset import boundedness, decompose, decompose_periodic
-from adveig.predictor import (LimitTerm, _argmin_set, _gll_eigenvalue,
+from adveig.predictor import (LimitTerm, _argmin_set, _closures, _gll_eigenvalue,
                               _sub_eigenvalue, frak_L, periodic_prediction,
                               predict_limit)
 from adveig.profile import (PeriodicBC, Potential, ProfileSpec, RobinBC,
@@ -276,25 +278,29 @@ def _rn_root(beta, width):
                   1e-9, (math.pi / 2 - 1e-9) / width)
 
 
-# (c, a, b, left, right, exact eigenvalue of -phi'' + c phi on [a, b])
+# case -> (c, a, b, Robin data, exact eigenvalue of -phi'' + c phi on
+# [a, b]); the first two letters of the case are the closures.  NR and DR
+# mirror RN and RD, so they check the hbar2/ell2 side of the Robin rule.
 CLOSED_FORMS = {
-    "DD": (C0, 0.3, 0.35, SubBC.D(), SubBC.D(), (math.pi / (0.35 - 0.3)) ** 2),
-    "ND": (C0, 0.4, 0.6, SubBC.N(), SubBC.D(), (math.pi / (2 * (0.6 - 0.4))) ** 2),
-    "NN": (Potential.constant(2.75), 0.45, 0.6, SubBC.N(), SubBC.N(), 2.75),
-    "RD": (C0, 0.0, 0.3, SubBC.R(1.0, 2.0), SubBC.D(), _rd_root(2.0, 0.3) ** 2),
-    "RN": (Potential.constant(-1.5), 0.0, 0.3, SubBC.R(0.5, 1.5), SubBC.N(),
+    "DD": (C0, 0.3, 0.35, None, (math.pi / (0.35 - 0.3)) ** 2),
+    "ND": (C0, 0.4, 0.6, None, (math.pi / (2 * (0.6 - 0.4))) ** 2),
+    "NN": (Potential.constant(2.75), 0.45, 0.6, None, 2.75),
+    "RD": (C0, 0.0, 0.3, RobinBC(1.0, 2.0, 0.0, 1.0), _rd_root(2.0, 0.3) ** 2),
+    "RN": (Potential.constant(-1.5), 0.0, 0.3, RobinBC(0.5, 1.5, 1.0, 0.0),
            _rn_root(3.0, 0.3) ** 2 - 1.5),
+    "NR": (Potential.constant(-1.5), 0.7, 1.0, RobinBC(1.0, 0.0, 0.5, 1.5),
+           _rn_root(3.0, 1.0 - 0.7) ** 2 - 1.5),
+    "DR": (C0, 0.7, 1.0, RobinBC(0.0, 1.0, 1.0, 2.0), _rd_root(2.0, 1.0 - 0.7) ** 2),
     # a knot of c one rounding step inside the plateau starts no element
     "DD-knot-at-end": (Potential.from_segments((0.0, 0.1 + 0.2, 1.0), ((2.0,), (2.0,))),
-                       0.3, 0.35, SubBC.D(), SubBC.D(),
-                       (math.pi / (0.35 - 0.3)) ** 2 + 2.0),
+                       0.3, 0.35, None, (math.pi / (0.35 - 0.3)) ** 2 + 2.0),
 }
 
 
 @pytest.mark.parametrize("case", list(CLOSED_FORMS))
 def test_sub_eigenvalue_closed_forms(case):
-    c, a, b, left, right, exact = CLOSED_FORMS[case]
-    value, estimate = _sub_eigenvalue(c, a, b, left, right)
+    c, a, b, bc, exact = CLOSED_FORMS[case]
+    value, estimate = _sub_eigenvalue(c, a, b, _closures(case[:2], bc))
     assert value == pytest.approx(exact, rel=1e-12, abs=0.0)
     assert estimate <= 1e-10
 
@@ -304,19 +310,34 @@ def test_sub_eigenvalue_two_pieces_of_c():
     matches a degree-24 solve on the same elements."""
     c = Potential.from_segments((0.0, 0.5, 1.0), ((1.0, 2.0, -3.0),
                                                   (1.25, -1.0, 5.0)))
-    value, estimate = _sub_eigenvalue(c, 0.2, 0.9, SubBC.D(), SubBC.N())
+    value, estimate = _sub_eigenvalue(c, 0.2, 0.9, (None, 0.0))
     reference = _gll_eigenvalue(c, 0.2, 0.9, (None, 0.0), 24)
     assert value == pytest.approx(reference, rel=1e-12, abs=0.0)
     assert estimate <= 1e-10
 
 
-@pytest.mark.parametrize("left,right", [(SubBC.N(), SubBC.N()),
-                                        (SubBC.D(), SubBC.N()),
-                                        (SubBC.R(1.0, 2.0), SubBC.D())])
-def test_sub_eigenvalue_error_estimate_covers_a_steep_potential(left, right):
+@pytest.mark.parametrize("kinds", ["NN", "DN", "RD"])
+def test_sub_eigenvalue_error_estimate_covers_a_steep_potential(kinds):
     """c = 1e4 x^2 confines the eigenfunction to a 0.1-wide layer that one
     degree-16 element does not resolve; the error estimate says so."""
     c = Potential.from_coeffs([0.0, 0.0, 1e4])
-    value, estimate = _sub_eigenvalue(c, 0.0, 1.0, left, right)
-    reference = _gll_eigenvalue(c, 0.0, 1.0, (left.beta(), right.beta()), 24)
+    betas = _closures(kinds, RobinBC(1.0, 2.0, 0.0, 1.0))
+    value, estimate = _sub_eigenvalue(c, 0.0, 1.0, betas)
+    reference = _gll_eigenvalue(c, 0.0, 1.0, betas, 24)
     assert abs(value - reference) <= 4.0 * estimate
+
+
+@pytest.mark.parametrize("module", ["predictor", "cli"])
+def test_module_does_not_import_assembly(module):
+    """Boundary data become closures only through RobinBC.betas, and the
+    CLI solves through lab: neither module reaches into assembly."""
+    tree = ast.parse((Path(adveig.__file__).parent / f"{module}.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").split(".")[-1])
+            if node.module in (None, "adveig"):
+                imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[-1] for alias in node.names)
+    assert "assembly" not in imported
