@@ -233,6 +233,8 @@ def rescaled_profile(x, w, x0, k_star, s, mass_radius):
         raise KStarUndefined("x0 has no defined degeneracy order")
     if not (math.isfinite(s) and s > 0):
         raise ValidationError("s must be finite and > 0")
+    if not (math.isfinite(mass_radius) and mass_radius > 0):
+        raise ValidationError("mass_radius must be finite and > 0")
     x = np.asarray(x, dtype=float)
     w = np.asarray(w, dtype=float)
     local = mass_distribution(x, w, [(max(x[0], x0 - mass_radius),
@@ -280,6 +282,8 @@ def limit_ode_ground_state(m_kstar: float, k_star: int, half_line: str = "none",
         return c1 * c1 * y ** (2 * (k - 1)) + c2 * y ** (k - 2)
 
     Y = float(y_max) if y_max is not None else _default_truncation(m_kstar, k)
+    if not (math.isfinite(Y) and Y > 0):
+        raise ValidationError("y_max must be finite and > 0")
     # an infinite side is truncated at +-Y under Dirichlet data (None),
     # the other is closed at 0 by Neumann data (beta = 0)
     a, b = (sign * Y if sign in infinite_ends else 0.0 for sign in (-1, 1))

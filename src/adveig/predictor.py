@@ -17,7 +17,9 @@ spectrally in the element degree since c is a polynomial on each piece
 Quarteroni & Zang, Spectral Methods, 2006).  Each term carries the gap
 between two degrees as its error estimate, and argmin ties are reported
 as the full attaining set, since the limiting measure may be supported
-on several components at once.
+on several components at once.  The element matrices are small (13 to
+17 unknowns per element) and go to numpy's dense eigh, so a prediction
+never imports scipy.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dsyevr
 
 from .errors import NoConvergence
 from .maxset import (SEGMENT_SUB_BC, MaxSetDecomposition, boundedness,
@@ -143,12 +144,12 @@ def _gll_eigenvalue(c, a, b, betas, p):
     matrix[-1, -1] += beta_right
     kept = slice(int(betas[0] is None), n - int(betas[1] is None))
     root = 1.0 / np.sqrt(mass[kept])
-    _, vector, _, _, info = dsyevr(matrix[kept, kept] * root[:, None] * root,
-                                   range="I", il=1, iu=1)
-    if info:
-        raise NoConvergence(1, f"LAPACK dsyevr info {info}")
+    try:   # eigh sorts ascending: column 0 is the principal vector
+        vectors = np.linalg.eigh(matrix[kept, kept] * root[:, None] * root)[1]
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(1, f"eigh: {exc}") from None
     phi = np.zeros(n)
-    phi[kept] = vector[:, 0] * root
+    phi[kept] = vectors[:, 0] * root
     q = mass * phi * phi
     total = q.sum()
     floor = cx.min()

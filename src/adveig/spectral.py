@@ -29,15 +29,18 @@ A call costs one factorization per distinct shift (plus one solve for
 the corner's vector when cyclic) and one solve per step: the steps at
 the final certified shift are a solve each.  It holds three n-vectors
 besides the factors.
+
+Both LAPACK routines load scipy at the first factorization, so code
+that solves no eigenproblem never imports it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import NoConvergence, NonFinite
 
@@ -47,6 +50,25 @@ TOL_LAMBDA = 1e-10   # certificate margin floor and Rayleigh-quotient stall test
 # one, and solves once if the shift is certified; ~50 bisections close
 # any bracket.
 MAX_STEPS = 100
+
+
+@functools.cache
+def _lapack():
+    """scipy.linalg.lapack, imported at the first factorization; a
+    repeated or concurrent first import (sweeps on threads) is harmless."""
+    from scipy.linalg import lapack
+    return lapack
+
+
+def dpttrf(*args, **kwargs):
+    """LAPACK dpttrf: LDL^T factors of a tridiagonal matrix; info > 0 if
+    it is not positive definite."""
+    return _lapack().dpttrf(*args, **kwargs)
+
+
+def dpttrs(*args, **kwargs):
+    """LAPACK dpttrs: a solve with the factors from dpttrf."""
+    return _lapack().dpttrs(*args, **kwargs)
 
 
 @dataclass(frozen=True)

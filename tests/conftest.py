@@ -8,6 +8,10 @@ closed-form eigenvalues where they exist.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,6 +171,18 @@ def scale_spec(spec: ProfileSpec, alpha, beta) -> ProfileSpec:
         {"increasing": "decreasing", "decreasing": "increasing",
          "constant": "constant"}[t] for t in spec.declared_signs)
     return ProfileSpec(spec.knots, tuple(segments), signs)
+
+
+def run_fresh(script, *args):
+    """stdout of `script` run by a new interpreter that imports adveig
+    from this checkout's src; a nonzero exit fails the test."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)))
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from adveig.cli import main
+from conftest import run_fresh
 
 SCHEMA_CLASSIFY = {
     "type": "object",
@@ -265,6 +266,38 @@ def test_console_entrypoint_smoke():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "power_well" in proc.stdout
+
+
+SCIPY_PROBE = """
+import contextlib, io, json, sys
+import adveig.cli as cli
+
+def scipy_loaded():
+    return any(name.startswith("scipy") for name in sys.modules)
+
+seen = {"import": scipy_loaded()}
+for name, argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    seen[name] = [code, scipy_loaded()]
+print(json.dumps(seen))
+"""
+
+
+def test_only_an_eigensolve_imports_scipy():
+    """In a fresh interpreter, importing the CLI, classify and predict
+    load no scipy module; the solve after them does, so the probe sees
+    scipy when it is there."""
+    commands = [
+        ("classify", ["classify", "--template", "t1:0.15,0.3,0.45,0.6,0.8"]),
+        ("predict", ["predict", "--template", "t2:0.1,0.25,0.3,0.45,0.6,0.8",
+                     "--c", "zero", "--bc", "robin:1,0,1,0"]),
+        ("solve", ["solve", "--template", "monotone_increasing",
+                   "--bc", "robin:0,1,0,1", "--s", "10", "--n", "2000"]),
+    ]
+    seen = json.loads(run_fresh(SCIPY_PROBE, json.dumps(commands)))
+    assert seen == {"import": False, "classify": [0, False],
+                    "predict": [0, False], "solve": [0, True]}
 
 
 def test_unbounded_predict_payload(capsys):

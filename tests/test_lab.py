@@ -372,6 +372,13 @@ def test_rescaled_profile_needs_finite_positive_s(s):
         rescaled_profile(x, np.ones_like(x), 0.5, 2, s, 0.2)
 
 
+@pytest.mark.parametrize("radius", [0.0, -0.2, float("nan"), float("inf")])
+def test_rescaled_profile_needs_finite_positive_mass_radius(radius):
+    x = np.linspace(0, 1, 101)
+    with pytest.raises(ValidationError, match="mass_radius must be finite and > 0"):
+        rescaled_profile(x, np.ones_like(x), 0.5, 2, 100.0, radius)
+
+
 def test_component_mass_radius():
     prof = build_profile(builtin("t1", 0.15, 0.3, 0.45, 0.6, 0.8))
     d = decompose(prof)
@@ -426,6 +433,12 @@ def test_limit_ode_preconditions():
         limit_ode_ground_state(-6.0, 3)         # odd k* has no full-line state
     with pytest.raises(ValidationError):
         limit_ode_ground_state(-6.0, 3, half_line="left")
+
+
+@pytest.mark.parametrize("y_max", [-6.0, 0.0, float("nan"), float("inf")])
+def test_limit_ode_needs_finite_positive_y_max(y_max):
+    with pytest.raises(ValidationError, match="y_max must be finite and > 0"):
+        limit_ode_ground_state(-2.0, 2, y_max=y_max)
 
 
 # -- distances --------------------------------------------------------------

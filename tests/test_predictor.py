@@ -2,11 +2,13 @@ import ast
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 import adveig
-from adveig.errors import NotPeriodic, PreconditionViolated
+from adveig import predictor
+from adveig.errors import NoConvergence, NotPeriodic, PreconditionViolated
 from adveig.maxset import boundedness, decompose, decompose_periodic
 from adveig.predictor import (LimitTerm, _argmin_set, _closures, _gll_eigenvalue,
                               _sub_eigenvalue, frak_L, periodic_prediction,
@@ -325,6 +327,18 @@ def test_sub_eigenvalue_error_estimate_covers_a_steep_potential(kinds):
     value, estimate = _sub_eigenvalue(c, 0.0, 1.0, betas)
     reference = _gll_eigenvalue(c, 0.0, 1.0, betas, 24)
     assert abs(value - reference) <= 4.0 * estimate
+
+
+def test_gll_eigensolve_failure_is_no_convergence(monkeypatch):
+    """A LinAlgError from the dense GLL eigensolve reaches the caller as
+    the library's NoConvergence, not as a numpy error."""
+    def failing_eigh(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(predictor.np.linalg, "eigh", failing_eigh)
+    decomp = decompose(build_profile(builtin("t1", 0.15, 0.3, 0.45, 0.6, 0.8)))
+    with pytest.raises(NoConvergence, match="eigh"):
+        predict_limit(decomp, C0, RobinBC.neumann())
 
 
 @pytest.mark.parametrize("module", ["predictor", "cli"])

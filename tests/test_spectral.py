@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from adveig.errors import NoConvergence, NonFinite
 from adveig.profile import Potential, RobinBC, build_profile, builtin
 from adveig.spectral import SymTridiag, smallest_eig
 from conftest import (charpoly_count_below, charpoly_smallest,
-                      cyclic_inertia_below, sturm_count)
+                      cyclic_inertia_below, run_fresh, sturm_count)
 
 
 def test_sturm_count_diagonal():
@@ -201,6 +203,36 @@ def test_each_distinct_shift_is_factored_once(monkeypatch):
         factorizations.clear()
         smallest_eig(op.matrix)
         assert len(factorizations) == len(set(shifts)) < len(shifts)
+
+
+FIRST_USE_ON_THREADS = """
+import json, sys
+from concurrent.futures import ThreadPoolExecutor
+import numpy as np
+from adveig.spectral import SymTridiag, smallest_eig
+
+n = 3000
+h = 1.0 / (n + 1)
+T = SymTridiag(np.full(n, 2.0 / h ** 2) + np.linspace(0.0, 1.0, n),
+               np.full(n - 1, -1.0 / h ** 2), corner=-0.5 / h ** 2)
+sys.setswitchinterval(1e-6)
+try:
+    with ThreadPoolExecutor(8) as pool:
+        threaded = [f.result(timeout=60) for f in
+                    [pool.submit(smallest_eig, T) for _ in range(16)]]
+finally:
+    sys.setswitchinterval(0.005)
+serial = smallest_eig(T)
+print(json.dumps([p.lam == serial.lam and np.array_equal(p.vector, serial.vector)
+                  for p in threaded]))
+"""
+
+
+def test_first_eigensolves_racing_on_threads_agree():
+    """LAPACK is imported at the first factorization.  Sixteen first
+    solves racing on eight threads in a fresh interpreter each return
+    the serial eigenpair bit for bit."""
+    assert json.loads(run_fresh(FIRST_USE_ON_THREADS)) == [True] * 16
 
 
 def test_positivity_for_negative_offdiagonals(rng):
