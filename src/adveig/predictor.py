@@ -115,8 +115,10 @@ def _gll_eigenvalue(c, a, b, betas, p):
     squares form, sum_e (2/h_e) w (D phi)^2 + sum beta phi_end^2 +
     sum m c phi^2 over sum m phi^2, taken as min c plus the quotient
     with c - min c in place of c.  Every term of that quotient is
-    nonnegative, so the 1/h^2 scale of the stiffness cancels nothing
-    and a constant c is returned exactly.
+    nonnegative, so the 1/h^2 scale of the stiffness cancels nothing.
+    A constant c under Neumann ends comes back as c plus the energy of
+    the rounded eigenvector, about 1e-25 / (b - a)^2: exactly c when c is
+    of order 1, rounding noise when c = 0.
     """
     nodes, weights, diff, stiff = _gll_element(p)
     gap = _KNOT_GAP * (b - a)

@@ -11,14 +11,22 @@ profiles are out of scope by design.
 Profiles and potentials share one structural check (_check_pieces) and
 one evaluator, PiecewisePoly.__call__(x, order, side): side picks the
 piece at an interior knot.  At construction PiecewisePoly also fills the
-knot tables, every derivative order at both ends of every segment, so
+knot tables, every derivative order at both ends of every segment (the
+constant rows at the left ends, one Horner pass at the right ends), so
 one-sided derivatives at knots, the C^k glue check and the periodic wrap
 check are lookups, and the bounds, sum |coefficient| per derivative order
 and segment.  All widths are <= 1, so a finite bound means no value of
 that derivative overflows: build_profile requires it at every order, a
 potential at order 0.  The range of m' takes the end values and the
-interior critical points, found for all segments at once from np.roots'
-companion matrices (_slope_range).
+interior critical points, the roots of m'' from np.roots' companion
+matrices, one eigvals call per degree (_slope_range).  The per-segment
+work runs on Python floats, with the IEEE operations np.roots and
+polyval would do, so the range is bit for bit theirs.  That suits few
+segments, where numpy's fixed cost per call, not the arithmetic, sets
+the build time (a builtin template has at most 7).  The segment count
+is not capped, and the Python work grows by a few microseconds a
+segment: past about 50 segments it costs more than whole-array numpy
+calls would, about 1.6 times as much at 512.
 
 Everything here is immutable after construction and safe to share.
 """
@@ -57,7 +65,7 @@ def _check_pieces(knots, segments, what):
             raise MalformedSpec(f"{what} segment {i} has no coefficients")
         if len(seg) - 1 > DEGREE_CAP:
             raise MalformedSpec(f"{what} segment {i} exceeds degree cap {DEGREE_CAP}")
-        if not all(math.isfinite(c) for c in seg):
+        if not all(map(math.isfinite, seg)):
             raise MalformedSpec(f"{what} segment {i} has non-finite coefficients")
 
 
@@ -69,45 +77,39 @@ def _slope_range(pp):
     The ends come from the knot tables.  The critical points are the real
     roots in (0, width) of m'', from the companion matrices np.roots would
     build (zero coefficients stripped at both ends), one eigvals call per
-    degree; all of them are then evaluated in one gathered Horner call
-    that rounds like polyval.
+    degree.  The small per-segment work runs on Python floats with the
+    IEEE operations numpy would do, in the same order: the first rows of
+    the companion matrices, and polyval's Horner scheme for m' at each
+    root.
     """
-    deriv = pp._coef_cache[2]
-    nonzero = deriv != 0
-    low = nonzero.argmax(axis=0)
-    high = len(deriv) - 1 - nonzero[::-1].argmax(axis=0)
-    degree = np.where(nonzero.any(axis=0), high - low, 0)
-    bad = np.zeros(len(degree), dtype=bool)
-    segs, roots = [], []
-    for d in sorted(set(degree.tolist()) - {0}):
-        group = np.nonzero(degree == d)[0]
-        top, col = high[group][:, None], group[:, None]
-        comp = np.zeros((group.size, d, d))
-        with np.errstate(over="ignore"):      # a tiny leading coefficient
-            comp[:, 0] = -deriv[top - np.arange(1, d + 1), col] / deriv[top, col]
-        comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
-        finite = np.isfinite(comp[:, 0]).all(axis=1)
-        bad[group[~finite]] = True
-        group = group[finite]
-        w = np.linalg.eigvals(comp[finite])
-        re = w.real
-        rows, cols = np.nonzero((np.abs(w.imag) < 1e-12) & (0 < re)
-                                & (re < pp.widths[group][:, None]))
-        segs.append(group[rows])
-        roots.append(re[rows, cols])
-    if bad.any():
-        raise MalformedSpec(f"m' on segment {bad.argmax()} is not finite")
-    lo = np.minimum(pp.left_ends[1], pp.right_ends[1])
-    hi = np.maximum(pp.left_ends[1], pp.right_ends[1])
-    if segs:
-        idx, x = np.concatenate(segs), np.concatenate(roots)
-        acc = np.zeros(x.size)
-        for row in pp._coef_cache[1][::-1, idx]:
-            acc *= x
-            acc += row
-        np.minimum.at(lo, idx, acc)
-        np.maximum.at(hi, idx, acc)
-    return lo, hi
+    lo = np.minimum(pp.left_ends[1], pp.right_ends[1]).tolist()
+    hi = np.maximum(pp.left_ends[1], pp.right_ends[1]).tolist()
+    groups, bad = {}, []    # degree -> [(segment, first row)]; overflowed segments
+    for i, deriv in enumerate(pp._coef_cache[2].T.tolist()):
+        nonzero = [p for p, v in enumerate(deriv) if v != 0.0]
+        if len(nonzero) > 1:
+            low, top = nonzero[0], nonzero[-1]
+            row = [-deriv[p] / deriv[top] for p in range(top - 1, low - 1, -1)]
+            if all(map(math.isfinite, row)):
+                groups.setdefault(top - low, []).append((i, row))
+            else:
+                bad.append(i)
+    slopes = pp._coef_cache[1].T.tolist()
+    widths = pp.widths.tolist()
+    for d, group in sorted(groups.items()):
+        comp = np.zeros((len(group), d, d))
+        comp[:, 0] = [row for _, row in group]
+        comp.reshape(len(group), d * d)[:, d::d + 1] = 1.0     # the subdiagonal
+        for (i, _), roots in zip(group, np.linalg.eigvals(comp).tolist()):
+            for r in roots:
+                if abs(r.imag) < 1e-12 and 0 < r.real < widths[i]:
+                    acc = 0.0
+                    for c in reversed(slopes[i]):
+                        acc = acc * r.real + c
+                    lo[i], hi[i] = min(lo[i], acc), max(hi[i], acc)
+    if bad:
+        raise MalformedSpec(f"m' on segment {bad[0]} is not finite")
+    return np.array(lo), np.array(hi)
 
 
 @dataclass(frozen=True)
@@ -148,29 +150,28 @@ class PiecewisePoly:
         # row; _coef_cache[k] is table k without its zero top rows.
         # Overflow leaves inf in a table and in its bound.
         table = np.zeros((orders, width, len(segments)))
-        for i, seg in enumerate(segments):
-            table[0, :len(seg), i] = seg
+        table[0].T[:] = [tuple(seg) + (0.0,) * (width - len(seg)) for seg in segments]
         powers = np.arange(1.0, width)[:, None]
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(1, width):
-                table[k, :width - k] = table[k - 1, 1:width - k + 1] * powers[:width - k]
+                np.multiply(table[k - 1, 1:width - k + 1], powers[:width - k],
+                            out=table[k, :width - k])
             # knot tables, (orders, segments): every derivative at t = 0
-            # (left_ends) and t = width (right_ends) of each segment, in
+            # (left_ends, the constant rows) and at t = width (right_ends,
             # one Horner pass over all orders that starts from zero, as
-            # polyval does
-            t = np.zeros((2, len(segments)))
-            t[1] = self.widths
-            acc = np.zeros((orders,) + t.shape)
-            for p in range(width - 1, -1, -1):
-                acc *= t
-                acc += table[:, None, p]
+            # polyval does)
+            right = table[:, -1] + 0.0
+            for p in range(width - 2, -1, -1):
+                right *= self.widths
+                right += table[:, p]
             # (orders, segments): sum |coefficient|.  Every width is <= 1,
             # so this bounds every value of that derivative on the segment
-            self.bounds = np.abs(table).sum(axis=1)
+            magnitudes = np.abs(table)
+            self.bounds = magnitudes.sum(axis=1)
         self._coef_cache = (tuple(table[k, :width - k] for k in range(width))
                             + (table[width, :1],) * (orders - width))
-        self.left_ends, self.right_ends = acc[:, 0], acc[:, 1]
-        self.sizes = np.abs(table[0]).max(axis=0)   # max |coefficient| per segment
+        self.left_ends, self.right_ends = table[:, 0], right
+        self.sizes = magnitudes[0].max(axis=0)     # max |coefficient| per segment
         self.scale = float(self.sizes.max())
 
     def __call__(self, x, order=0, side="right"):
@@ -200,15 +201,18 @@ class PiecewisePoly:
 
     def knot_values(self, i, side="right"):
         """Derivatives of orders 0..DEGREE_CAP + 1 at knots[i], the values
-        __call__(knots[i], order, side) gives, read from the knot tables."""
+        __call__(knots[i], order, side) gives up to the sign of a zero,
+        read from the knot tables."""
         if (side == "left" and i > 0) or i == len(self.widths):
             return self.right_ends[:, i - 1].tolist()
         return self.left_ends[:, i].tolist()
 
     def wrap_jumps(self, up_to_order):
-        """|f^(k)(0) - f^(k)(1)| for k = 0..up_to_order."""
-        return np.abs(self.left_ends[:up_to_order + 1, 0]
-                      - self.right_ends[:up_to_order + 1, -1])
+        """|f^(k)(0) - f^(k)(1)| for k = 0..up_to_order; inf where the
+        difference overflows."""
+        with np.errstate(over="ignore"):
+            return np.abs(self.left_ends[:up_to_order + 1, 0]
+                          - self.right_ends[:up_to_order + 1, -1])
 
     def check_continuity(self, up_to_order):
         """Raise NotC2 for the first interior knot, and there the lowest
@@ -220,8 +224,9 @@ class PiecewisePoly:
         if len(self.widths) < 2:
             return
         tol = GLUE_TOL * np.maximum(1.0, np.maximum(self.sizes[:-1], self.sizes[1:]))
-        jumps = np.abs(self.right_ends[:up_to_order + 1, :-1]
-                       - self.left_ends[:up_to_order + 1, 1:])
+        with np.errstate(over="ignore"):     # an overflowing jump is an inf one
+            jumps = np.abs(self.right_ends[:up_to_order + 1, :-1]
+                           - self.left_ends[:up_to_order + 1, 1:])
         bad = jumps > tol
         if bad.any():
             j = int(bad.any(axis=0).argmax())
@@ -363,25 +368,28 @@ def build_profile(spec: ProfileSpec) -> AdvectionProfile:
     if not finite.all():
         raise MalformedSpec(f"profile segment {finite.argmin()} has non-finite derivatives")
     lo, hi = _slope_range(pp)
-    scales = np.maximum(np.abs(lo), np.abs(hi))
     pp.check_continuity(2)
 
-    floor = _SIGN_TOL * scales
-    verified = np.select([~pp._coef_cache[1].any(axis=0), lo >= -floor, hi <= floor],
-                         ["constant", "increasing", "decreasing"], "mixed")
-    bad = verified != np.array(spec.declared_signs)
-    if bad.any():
-        i = int(bad.argmax())
-        raise SignMismatch(i, spec.declared_signs[i], str(verified[i]))
-    signature = [SIGN_TAGS[tag] for tag in spec.declared_signs]
+    # integer codes of SIGN_TAGS; None is "mixed"
+    signature = tuple(SIGN_TAGS[tag] for tag in spec.declared_signs)
+    scales = []
+    for i, (low, high, bound) in enumerate(zip(lo.tolist(), hi.tolist(),
+                                               pp.bounds[1].tolist())):
+        scales.append(max(abs(low), abs(high)))
+        floor = _SIGN_TOL * scales[-1]
+        code = (0 if bound == 0.0 else 1 if low >= -floor
+                else -1 if high <= floor else None)
+        if code != signature[i]:
+            verified = {v: k for k, v in SIGN_TAGS.items()}.get(code, "mixed")
+            raise SignMismatch(i, spec.declared_signs[i], verified)
 
-    if all(s == 0 for s in signature):
+    if not any(signature):
         raise GloballyConstant("m is constant on [0,1]")
 
     return AdvectionProfile(
         spec=spec,
-        sign_signature=tuple(signature),
-        max_abs_deriv=float(scales.max()),
+        sign_signature=signature,
+        max_abs_deriv=max(scales),
         _poly=pp,
     )
 

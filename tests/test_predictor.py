@@ -15,6 +15,7 @@ from adveig.predictor import (LimitTerm, _argmin_set, _closures, _gll_eigenvalue
                               predict_limit)
 from adveig.profile import (PeriodicBC, Potential, ProfileSpec, RobinBC,
                             TEMPLATES, build_profile, builtin, _ramp_coeffs)
+from conftest import TEMPLATE_PARAMS
 
 C0 = Potential.zero()
 CX = Potential.from_coeffs([0.0, 1.0])
@@ -266,6 +267,32 @@ def test_constant_potential_ties_every_term_exactly():
     (nn,) = [t for t in pred.terms if t.kind == "NN"]
     assert nn.value == pytest.approx(-0.130529, rel=1e-14, abs=0.0)
     assert pred.argmin == (0, 1, 2)
+
+
+def test_constant_potential_under_neumann_ends_is_c_to_rounding():
+    """A plateau term with constant c and Neumann closures is c up to
+    rounding: the energy sum of the rounded, nearly constant eigenvector
+    is not 0.  That noise is about 1e-25 / w^2 on the builtin plateaus
+    (w the plateau width; at most 1e-24 / w^2 over random NN plateaus),
+    so it shows only where c is 0 or tiny, and a c of order 1 comes out
+    exactly."""
+    cases = list(TEMPLATE_PARAMS.items()) + [
+        ("t1", (0.1, 0.2, 0.4, 0.65, 0.85)), ("t2", (0.1, 0.25, 0.3, 0.45, 0.6, 0.8)),
+        ("example1", (0.2, 0.35, 0.55, 0.8))]
+    kinds = set()
+    for name, params in cases:
+        decomp = decompose(build_profile(builtin(name, *params)))
+        for value in (0.0, 1e-8, 1.25, -3.0):
+            pred = predict_limit(decomp, Potential.constant(value), RobinBC.neumann())
+            for term in pred.terms:
+                if term.kind == "c_at_point" or "D" in term.kind:
+                    continue
+                kinds.add(term.kind)
+                a, b = term.interval
+                assert abs(term.value - value) <= 1e-23 / (b - a) ** 2, (name, term)
+                if abs(value) >= 1.0:
+                    assert term.value == value, (name, term)
+    assert kinds == {"NN", "NR"}
 
 
 def _rd_root(beta, width):

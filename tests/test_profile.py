@@ -2,15 +2,15 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from adveig.errors import (BadParams, GloballyConstant, MalformedSpec, NotC2,
                            NotPeriodic, OutOfDomain, SignMismatch,
                            UnknownTemplate, ValidationError)
-from adveig.profile import (DEGREE_CAP, PeriodicBC, PiecewisePoly, Potential,
-                            ProfileSpec, RobinBC, TEMPLATES, build_profile,
-                            builtin, profile_from_dict, spec_to_dict,
-                            _slope_range)
+from adveig.profile import (DEGREE_CAP, GLUE_TOL, SIGN_TAGS, PeriodicBC,
+                            PiecewisePoly, Potential, ProfileSpec, RobinBC,
+                            TEMPLATES, build_profile, builtin, profile_from_dict,
+                            spec_to_dict, _ramp_chain, _slope_range)
 from conftest import scale_spec
 
 
@@ -366,3 +366,142 @@ def test_ranges_equal_per_segment_np_roots():
         lo, hi = _slope_range(pp)
         assert lo.tolist() == [min(v) for v in want], name
         assert hi.tolist() == [max(v) for v in want], name
+
+
+# -- build_profile against a per-segment reference ------------------------
+
+@np.errstate(all="ignore")      # derivatives and companion rows may overflow
+def _reference_build(spec):
+    """What build_profile gives for spec, checked the slow way: every
+    derivative by polyder, one segment at a time, the range of m' from
+    np.roots and polyval as in test_ranges_equal_per_segment_np_roots,
+    and the checks in build_profile's order.  A tuple of the outcome:
+    ("ok", signature, max|m'| as hex) or the error with its details."""
+    from numpy.polynomial import polynomial as poly
+    try:
+        spec.validate_structure()
+    except MalformedSpec as exc:
+        return (MalformedSpec, str(exc))
+    widths = [b - a for a, b in zip(spec.knots, spec.knots[1:])]
+    derivs = []     # orders 0..DEGREE_CAP + 1 per segment
+    for seg in spec.segments:
+        orders = [np.array(seg)]
+        for _ in range(DEGREE_CAP + 1):
+            orders.append(poly.polyder(orders[-1]))
+        derivs.append(orders)
+    for i, orders in enumerate(derivs):
+        bounds = [sum(abs(v) for v in der.tolist()) for der in orders]
+        if not all(map(np.isfinite, bounds)):
+            return (MalformedSpec, f"profile segment {i} has non-finite derivatives")
+    ranges = []
+    for i, orders in enumerate(derivs):
+        try:
+            roots = np.roots(orders[2][::-1])
+        except np.linalg.LinAlgError:      # an overflowed companion matrix
+            return (MalformedSpec, f"m' on segment {i} is not finite")
+        xs = [0.0, widths[i]] + [r.real for r in roots
+                                 if abs(r.imag) < 1e-12 and 0 < r.real < widths[i]]
+        values = [poly.polyval(x, orders[1]) for x in xs]
+        ranges.append((min(values), max(values)))
+    for j in range(len(widths) - 1):
+        tol = GLUE_TOL * max(1.0, max(np.abs(spec.segments[j]).max(),
+                                      np.abs(spec.segments[j + 1]).max()))
+        for k in range(3):
+            jump = abs(poly.polyval(widths[j], derivs[j][k])
+                       - poly.polyval(0.0, derivs[j + 1][k]))
+            if jump > tol:
+                return (NotC2, spec.knots[j + 1], k, jump.hex())
+    scales = []
+    for i, (lo, hi) in enumerate(ranges):
+        scales.append(max(abs(lo), abs(hi)))
+        floor = 1e-9 * scales[-1]
+        verified = ("constant" if not derivs[i][1].any() else "increasing"
+                    if lo >= -floor else "decreasing" if hi <= floor else "mixed")
+        if verified != spec.declared_signs[i]:
+            return (SignMismatch, i, spec.declared_signs[i], verified)
+    if set(spec.declared_signs) == {"constant"}:
+        return (GloballyConstant,)
+    return ("ok", tuple(SIGN_TAGS[t] for t in spec.declared_signs),
+            float(max(scales)).hex())
+
+
+def _library_build(spec):
+    try:
+        prof = build_profile(spec)
+    except NotC2 as exc:
+        return (NotC2, exc.knot, exc.order, float(exc.mismatch).hex())
+    except SignMismatch as exc:
+        return (SignMismatch, exc.segment, exc.declared, exc.verified)
+    except GloballyConstant:
+        return (GloballyConstant,)
+    except MalformedSpec as exc:
+        return (MalformedSpec, str(exc))
+    return ("ok", prof.sign_signature, prof.max_abs_deriv.hex())
+
+
+_COEFF = st.one_of(st.floats(-10.0, 10.0), st.floats(-1e4, 1e4),
+                   st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300, 1e300]))
+_LEVELS = st.sampled_from([0.0, 0.3, -1.0, 2.5, 1e3])
+_BUMP_SIZES = st.sampled_from([0.0, 1e-13, -1e-13, 1e-3, -1e-3, 50.0])
+
+
+@st.composite
+@np.errstate(all="ignore")
+def piecewise_specs(draw):
+    """1 to 8 segments of degree <= DEGREE_CAP in one of three shapes:
+    free coefficients (mostly not C^2), segments glued C^2 by the Taylor
+    data of the previous segment at its right end, or quintic ramps
+    between levels plus a multiple of t^3 (w - t)^3, which keeps the
+    glue.  The tags are random, or corrected to the reference's verified
+    tags; now and then one coefficient is made huge, or a subnormal top
+    coefficient is appended, to reach the overflow checks."""
+    from numpy.polynomial import polynomial as poly
+    count = draw(st.integers(1, 8))
+    cuts = sorted(draw(st.sets(st.integers(1, 999), min_size=count - 1,
+                               max_size=count - 1)))
+    knots = (0.0, *(c / 1000 for c in cuts), 1.0)
+    shape = draw(st.sampled_from(("free", "glued", "ramps")))
+    levels = draw(st.lists(_LEVELS, min_size=count + 1, max_size=count + 1))
+    segments = []
+    for i, w in enumerate(b - a for a, b in zip(knots, knots[1:])):
+        if shape == "ramps":
+            seg = _ramp_chain((0.0, w), levels[i:i + 2]).segments[0]
+            bump = [0.0, 0.0, 0.0, w ** 3, -3 * w ** 2, 3 * w, -1.0]
+            size = draw(_BUMP_SIZES) * max(1.0, abs(seg[-1]))
+            seg = poly.polyadd(seg, [size * v for v in bump]).tolist()
+        else:
+            seg = draw(st.lists(_COEFF, min_size=1, max_size=DEGREE_CAP + 1))
+            if shape == "glued" and segments:
+                prev, width = np.array(segments[-1]), knots[i] - knots[i - 1]
+                seg = [poly.polyval(width, poly.polyder(prev, k)) / f
+                       for k, f in ((0, 1.0), (1, 1.0), (2, 2.0))] + seg[3:]
+        segments.append([float(c) for c in seg])
+    i = draw(st.integers(0, count - 1))
+    extreme = draw(st.integers(0, 9))
+    if extreme == 0:
+        position = draw(st.integers(0, len(segments[i]) - 1))
+        segments[i][position] = draw(st.sampled_from([1.7e308, -9e307]))
+    elif extreme == 1 and len(segments[i]) <= DEGREE_CAP:
+        segments[i].append(1e-320)
+    tags = draw(st.lists(st.sampled_from(list(SIGN_TAGS)), min_size=count,
+                         max_size=count))
+    spec = ProfileSpec(knots, segments, tags)
+    if draw(st.booleans()):
+        for _ in range(count):
+            outcome = _reference_build(spec)
+            if outcome[0] is not SignMismatch or outcome[3] == "mixed":
+                break
+            tags[outcome[1]] = outcome[3]
+            spec = ProfileSpec(knots, segments, tags)
+    return spec
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=piecewise_specs())
+# m jumps from 1e308 to -1e308: the jump overflows to inf and is a NotC2
+@example(spec=ProfileSpec((0.0, 0.5, 1.0), ((1e308,), (-1e308, 0.0, 0.0, 1.0)),
+                          ("constant", "increasing")))
+def test_build_profile_matches_per_segment_reference(spec):
+    # the same signature and bits of max|m'|, or the same error with the
+    # same segment or knot, order and verified tag
+    assert _library_build(spec) == _reference_build(spec)
