@@ -1,10 +1,14 @@
 """Command-line front end: classify, predict, solve, sweep, report,
 templates.
 
-Reproducibility contract: identical invocations produce byte-identical
-stdout/files.  All floats are printed with 12 significant digits; the
-sweep CSV's wall_time column is 0.0 unless --timings is passed (real
-timings would break determinism).  Exit codes: 0 ok, 2 validation
+Reproducibility contract: on one numpy/LAPACK build, identical
+invocations produce byte-identical stdout/files.  All floats are printed
+with 12 significant digits; the sweep CSV's wall_time column is 0.0
+unless --timings is passed (real timings would break determinism).
+predict's rounding-level numbers, a plateau's error_estimate and a
+zero-c Neumann plateau value, follow the LAPACK kernels picked for the
+CPU, so tests/test_cli_golden.py holds another build to the same
+document with every number within 1e-9.  Exit codes: 0 ok, 2 validation
 error, 3 numerical failure; errors go to stderr as "Code: message".
 """
 

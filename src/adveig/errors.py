@@ -2,36 +2,37 @@
 
 Two families matter to callers: ValidationError (bad input, CLI exit
 code 2) and NumericalError (a solve failed, CLI exit code 3).  Every
-concrete class carries a stable machine-readable ``code`` used as the
-stderr prefix.
+subclass carries a stable machine-readable ``code``, its class name,
+used as the stderr prefix.
 """
 
 
 class AdveigError(Exception):
     code = "Error"
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.code = cls.__name__
+
     def __str__(self):
         msg = super().__str__()
         return msg if msg else self.code
 
 
-class ValidationError(AdveigError):
-    code = "ValidationError"
-
-
-class NumericalError(AdveigError):
-    code = "NumericalError"
+class ValidationError(AdveigError): pass
+class NumericalError(AdveigError): pass
 
 
 # -- profile -----------------------------------------------------------
 
-class MalformedSpec(ValidationError):
-    code = "MalformedSpec"
+class MalformedSpec(ValidationError): pass
+class GloballyConstant(ValidationError): pass
+class OutOfDomain(ValidationError): pass
+class UnknownTemplate(ValidationError): pass
+class BadParams(ValidationError): pass
 
 
 class NotC2(ValidationError):
-    code = "NotC2"
-
     def __init__(self, knot, order, mismatch):
         super().__init__(
             f"derivative order {order} jumps by {mismatch:.3e} at knot {knot}")
@@ -41,8 +42,6 @@ class NotC2(ValidationError):
 
 
 class SignMismatch(ValidationError):
-    code = "SignMismatch"
-
     def __init__(self, segment, declared, verified):
         super().__init__(
             f"segment {segment}: declared '{declared}' but derivative is '{verified}'")
@@ -51,52 +50,30 @@ class SignMismatch(ValidationError):
         self.verified = verified
 
 
-class GloballyConstant(ValidationError):
-    code = "GloballyConstant"
-
-
-class OutOfDomain(ValidationError):
-    code = "OutOfDomain"
-
-
-class UnknownTemplate(ValidationError):
-    code = "UnknownTemplate"
-
-
-class BadParams(ValidationError):
-    code = "BadParams"
-
-
 # -- maxset ------------------------------------------------------------
 
-class AtSegmentJunction(ValidationError):
-    code = "AtSegmentJunction"
-
-
-class NotAMaximum(ValidationError):
-    code = "NotAMaximum"
+class AtSegmentJunction(ValidationError): pass
+class NotAMaximum(ValidationError): pass
 
 
 # -- spectral ----------------------------------------------------------
 
-class NoConvergence(NumericalError):
-    code = "NoConvergence"
+class NonFinite(NumericalError): pass
 
+
+class NoConvergence(NumericalError):
     def __init__(self, max_iterations, detail=""):
         super().__init__(f"no convergence after {max_iterations} iterations"
                          + (f" ({detail})" if detail else ""))
         self.max_iterations = max_iterations
 
 
-class NonFinite(NumericalError):
-    code = "NonFinite"
-
-
 # -- assembly ----------------------------------------------------------
 
-class GridTooCoarse(ValidationError):
-    code = "GridTooCoarse"
+class NotPeriodic(ValidationError): pass
 
+
+class GridTooCoarse(ValidationError):
     def __init__(self, h, drift, layer):
         super().__init__(
             f"layers unresolved at h={h:.3e}: end-cell |s dm| = {drift:.3f} "
@@ -106,45 +83,18 @@ class GridTooCoarse(ValidationError):
         self.layer = layer
 
 
-class NotPeriodic(ValidationError):
-    code = "NotPeriodic"
-
-
 # -- predictor ---------------------------------------------------------
 
-class PreconditionViolated(ValidationError):
-    code = "PreconditionViolated"
-
-
-class BoundaryClassPresent(ValidationError):
-    code = "BoundaryClassPresent"
+class PreconditionViolated(ValidationError): pass
+class BoundaryClassPresent(ValidationError): pass
 
 
 # -- lab ---------------------------------------------------------------
 
-class InsufficientData(ValidationError):
-    code = "InsufficientData"
-
-
-class NonPositiveLambda(ValidationError):
-    code = "NonPositiveLambda"
-
-
-class IntervalOutOfDomain(ValidationError):
-    code = "IntervalOutOfDomain"
-
-
-class MassTooSmall(ValidationError):
-    code = "MassTooSmall"
-
-
-class KStarUndefined(ValidationError):
-    code = "KStarUndefined"
-
-
-class NoDecay(NumericalError):
-    code = "NoDecay"
-
-
-class NoOverlap(ValidationError):
-    code = "NoOverlap"
+class InsufficientData(ValidationError): pass
+class NonPositiveLambda(ValidationError): pass
+class IntervalOutOfDomain(ValidationError): pass
+class MassTooSmall(ValidationError): pass
+class KStarUndefined(ValidationError): pass
+class NoOverlap(ValidationError): pass
+class NoDecay(NumericalError): pass

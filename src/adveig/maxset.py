@@ -93,7 +93,7 @@ _SIDES = {INTERIOR: ("left", "right"),
 
 def _zero_tol(profile):
     """Tolerance below which a derivative value counts as zero."""
-    return 1e-9 * max(1.0, profile.coefficient_scale())
+    return 1e-9 * max(1.0, profile.scale)
 
 
 def _sloped(profile, i, position, tol):

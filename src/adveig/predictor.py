@@ -123,7 +123,7 @@ def _gll_eigenvalue(c, a, b, betas, p):
     nodes, weights, diff, stiff = _gll_element(p)
     gap = _KNOT_GAP * (b - a)
     ends = [a]
-    for k in c.knots:
+    for k in c.knots.tolist():
         if ends[-1] + gap < k < b - gap:
             ends.append(k)
     ends.append(b)

@@ -8,17 +8,18 @@ asymptotic theory consumes is machine-checked and rounding at a double
 root of m' is no sign change.  Degree is capped at 8 and transcendental
 profiles are out of scope by design.
 
-Profiles and potentials share one structural check (_check_pieces) and
-one evaluator, PiecewisePoly.__call__(x, order, side): side picks the
-piece at an interior knot.  At construction PiecewisePoly also fills the
-knot tables, every derivative order at both ends of every segment (the
-constant rows at the left ends, one Horner pass at the right ends), so
-one-sided derivatives at knots, the C^k glue check and the periodic wrap
-check are lookups, and the bounds, sum |coefficient| per derivative order
-and segment.  All widths are <= 1, so a finite bound means no value of
-that derivative overflows: build_profile requires it at every order, a
-potential at order 0.  The range of m' takes the end values and the
-interior critical points, the roots of m'' from np.roots' companion
+AdvectionProfile and Potential are PiecewisePoly subclasses, so each
+profile or potential is one object.  They share one structural check
+(_check_pieces) and one evaluator, __call__(x, order, side): side picks
+the piece at an interior knot.  At construction PiecewisePoly also fills
+the knot tables, every derivative order at both ends of every segment
+(the constant rows at the left ends, one Horner pass at the right ends),
+so one-sided derivatives at knots, the C^k glue check and the periodic
+wrap check are lookups, and the bounds, sum |coefficient| per derivative
+order and segment.  All widths are <= 1, so a finite bound means no
+value of that derivative overflows: build_profile requires it at every
+order, a potential at order 0.  The range of m' takes the end values and
+the interior critical points, the roots of m'' from np.roots' companion
 matrices, one eigvals call per degree (_slope_range).  The per-segment
 work runs on Python floats, with the IEEE operations np.roots and
 polyval would do, so the range is bit for bit theirs.  That suits few
@@ -28,14 +29,17 @@ is not capped, and the Python work grows by a few microseconds a
 segment: past about 50 segments it costs more than whole-array numpy
 calls would, about 1.6 times as much at 512.
 
-Everything here is immutable after construction and safe to share.
+Nothing rebinds the attributes of a profile, potential or boundary
+condition once it is built, and no method writes into their arrays, so
+they are safe to share across threads.  The arrays are not made
+read-only: a caller must not write through, say, profile.knots.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -136,7 +140,9 @@ class ProfileSpec:
 
 
 class PiecewisePoly:
-    """Evaluation engine shared by profiles and potentials."""
+    """A piecewise polynomial on [0, 1]: the knots (a float array), the
+    segment widths, the coefficient and knot tables and the bounds; the
+    base of AdvectionProfile and Potential."""
 
     def __init__(self, knots, segments):
         self.knots = np.asarray(knots, dtype=float)
@@ -234,47 +240,26 @@ class PiecewisePoly:
             raise NotC2(self.knots[j + 1], k, jumps[k, j])
 
 
-@dataclass(frozen=True)
-class AdvectionProfile:
-    """Validated advection profile with the verified sign signature of
-    m' (see build_profile)."""
-    spec: ProfileSpec
-    sign_signature: tuple        # per segment, in {+1, -1, 0}
-    max_abs_deriv: float
-    _poly: PiecewisePoly = field(repr=False, compare=False)
-
-    @property
-    def knots(self):
-        return self._poly.knots
-
-    def __call__(self, x, order=0, side="right"):
-        return self._poly(x, order, side)
-
-    def knot_values(self, i, side="right"):
-        return self._poly.knot_values(i, side)
-
-    def coefficient_scale(self):
-        return self._poly.scale
+class AdvectionProfile(PiecewisePoly):
+    """Validated advection profile m: build_profile sets sign_signature,
+    the verified sign of m' per segment in {+1, -1, 0}, and
+    max_abs_deriv, the maximum of |m'| on [0, 1]."""
 
 
-@dataclass(frozen=True)
-class Potential:
+class Potential(PiecewisePoly):
     """Piecewise-polynomial potential c, continuous on [0,1]."""
-    knots: tuple
-    segments: tuple
-    _poly: PiecewisePoly = field(repr=False, compare=False)
 
     @staticmethod
     def from_segments(knots, segments):
         knots = tuple(float(k) for k in knots)
         segments = tuple(tuple(float(c) for c in s) for s in segments)
         _check_pieces(knots, segments, "potential")
-        pp = PiecewisePoly(knots, segments)
-        finite = np.isfinite(pp.bounds[0])
+        c = Potential(knots, segments)
+        finite = np.isfinite(c.bounds[0])
         if not finite.all():
             raise MalformedSpec(f"c on segment {finite.argmin()} is not finite")
-        pp.check_continuity(0)
-        return Potential(knots, segments, pp)
+        c.check_continuity(0)
+        return c
 
     @staticmethod
     def constant(value):
@@ -288,9 +273,6 @@ class Potential:
     def from_coeffs(coeffs):
         """Single global polynomial c(x) = c0 + c1 x + ..."""
         return Potential.from_segments((0.0, 1.0), (tuple(coeffs),))
-
-    def __call__(self, x, order=0, side="right"):
-        return self._poly(x, order, side)
 
 
 # -- boundary conditions -------------------------------------------------
@@ -314,6 +296,8 @@ class RobinBC:
             object.__setattr__(self, name, v)
         if self.hbar1 + self.ell1 <= 0 or self.hbar2 + self.ell2 <= 0:
             raise ValidationError("need hbar + ell > 0 at each endpoint")
+        if not all(math.isfinite(b) for b in self.betas() if b is not None):
+            raise ValidationError("ell/hbar must be finite at each endpoint")
 
     def betas(self):
         """The closure at 0 and at 1: beta = ell/hbar of phi' = +-beta phi
@@ -334,19 +318,21 @@ class RobinBC:
 @dataclass(frozen=True)
 class PeriodicBC:
     def validate(self, profile, potential):
-        tol = GLUE_TOL * max(1.0, profile.coefficient_scale())
-        for order, jump in enumerate(profile._poly.wrap_jumps(2)):
+        tol = GLUE_TOL * max(1.0, profile.scale)
+        for order, jump in enumerate(profile.wrap_jumps(2)):
             if jump > tol:
                 raise NotPeriodic(f"m^({order}) wrap mismatch {jump:.3e} at 0/1")
-        if (potential is not None and potential._poly.wrap_jumps(0)[0]
-                > GLUE_TOL * max(1.0, potential._poly.scale)):
+        if (potential is not None and potential.wrap_jumps(0)[0]
+                > GLUE_TOL * max(1.0, potential.scale)):
             raise NotPeriodic("c(0) != c(1)")
 
 
 # -- construction ---------------------------------------------------------
 
 def build_profile(spec: ProfileSpec) -> AdvectionProfile:
-    """Validate a spec and return the profile.
+    """Validate a spec and return the profile, built once: the checks run
+    on the AdvectionProfile itself, which then gets sign_signature and
+    max_abs_deriv.
 
     Checks, in order: structural well-formedness, a finite coefficient
     bound at every derivative order, finite companion matrices for the
@@ -363,18 +349,18 @@ def build_profile(spec: ProfileSpec) -> AdvectionProfile:
     about eps^((k+1)/k), below rounding: the range is exact to rounding.
     """
     spec.validate_structure()
-    pp = PiecewisePoly(spec.knots, spec.segments)
-    finite = np.isfinite(pp.bounds).all(axis=0)
+    m = AdvectionProfile(spec.knots, spec.segments)
+    finite = np.isfinite(m.bounds).all(axis=0)
     if not finite.all():
         raise MalformedSpec(f"profile segment {finite.argmin()} has non-finite derivatives")
-    lo, hi = _slope_range(pp)
-    pp.check_continuity(2)
+    lo, hi = _slope_range(m)
+    m.check_continuity(2)
 
     # integer codes of SIGN_TAGS; None is "mixed"
     signature = tuple(SIGN_TAGS[tag] for tag in spec.declared_signs)
     scales = []
     for i, (low, high, bound) in enumerate(zip(lo.tolist(), hi.tolist(),
-                                               pp.bounds[1].tolist())):
+                                               m.bounds[1].tolist())):
         scales.append(max(abs(low), abs(high)))
         floor = _SIGN_TOL * scales[-1]
         code = (0 if bound == 0.0 else 1 if low >= -floor
@@ -386,12 +372,9 @@ def build_profile(spec: ProfileSpec) -> AdvectionProfile:
     if not any(signature):
         raise GloballyConstant("m is constant on [0,1]")
 
-    return AdvectionProfile(
-        spec=spec,
-        sign_signature=signature,
-        max_abs_deriv=max(scales),
-        _poly=pp,
-    )
+    m.sign_signature = signature
+    m.max_abs_deriv = max(scales)
+    return m
 
 
 # -- templates ------------------------------------------------------------

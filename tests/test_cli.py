@@ -171,6 +171,15 @@ def test_validation_error_exit_2(capsys):
     assert err.split(":")[0] in ("ValidationError", "MalformedSpec")
 
 
+def test_overflowing_robin_closure_exit_2(capsys):
+    # hbar2 = 1e-320 makes ell2/hbar2 overflow; predict and solve both refuse it
+    for argv in (["predict"], ["solve", "--s", "100"]):
+        code, out, err = run_cli(capsys, *argv, "--template", "t2:0.1,0.25,0.4,0.55,0.7,0.85",
+                                 "--c", "zero", "--bc", "robin:1,0,1e-320,1")
+        assert (code, out) == (2, "")
+        assert err.startswith("ValidationError: ell/hbar must be finite")
+
+
 def test_solve_vee_growth(capsys):
     lams = {}
     for s in ("50", "100"):

@@ -54,7 +54,7 @@ def test_first_failing_knot_and_its_lowest_order_reported():
 def test_t1_sign_signature():
     prof = build_profile(builtin("t1", 0.15, 0.3, 0.45, 0.6, 0.8))
     assert prof.sign_signature == (1, -1, 1, 0, -1, 1)
-    assert len(prof.spec.segments) == 6
+    assert len(prof.widths) == 6
 
 
 def test_sign_mismatch_detected():
@@ -284,6 +284,10 @@ def test_robin_bc_validation():
         RobinBC(0.0, 0.0, 1.0, 0.0)
     with pytest.raises(ValidationError):
         RobinBC(-1.0, 1.0, 1.0, 0.0)
+    # ell/hbar = 1/1e-320 overflows to inf: the closure phi' = -beta phi is lost
+    with pytest.raises(ValidationError, match="ell/hbar"):
+        RobinBC(1.0, 0.0, 1e-320, 1.0)
+    assert RobinBC(2.0 ** -1000, 1.0, 1.0, 0.0).betas() == (2.0 ** 1000, 0.0)
     bc = RobinBC.neumann()
     assert bc.ell1 == bc.ell2 == 0.0
 
@@ -337,7 +341,7 @@ _TEMPLATE_PARAMS = {
 def _pieces():
     for name in TEMPLATES:
         spec = builtin(name, *_TEMPLATE_PARAMS[name])
-        yield name, build_profile(spec)._poly
+        yield name, build_profile(spec)
     yield "mixed", PiecewisePoly(*_MIXED)
 
 
