@@ -17,8 +17,7 @@ from .maxset import (Boundedness, IsolatedMax, MaxSetDecomposition, SegmentMax,
 from .predictor import (LimitPrediction, LimitTerm, frak_L, periodic_prediction,
                         predict_limit)
 from .profile import (AdvectionProfile, PeriodicBC, Potential, ProfileSpec,
-                      RobinBC, TEMPLATES, build_profile, builtin,
-                      load_profile_json, profile_from_dict)
+                      RobinBC, TEMPLATES, build_profile, builtin, profile_from_dict)
 from .spectral import EigenPair, SymTridiag, smallest_eig
 
 __version__ = "0.1.0"
@@ -33,7 +32,7 @@ __all__ = [
     "build_profile", "builtin", "component_mass_radius", "decompose",
     "decompose_periodic", "degeneracy_order", "eigenfunction_on_grid",
     "estimate_limit", "frak_L", "growth_exponent", "limit_ode_ground_state",
-    "load_profile_json", "mass_distribution", "periodic_prediction",
+    "mass_distribution", "periodic_prediction",
     "predict_limit", "principal_eigen", "profile_distance",
     "profile_from_dict", "rescaled_profile", "segment_restriction_distance",
     "smallest_eig", "sweep",

@@ -52,6 +52,7 @@ _MAX_END_DRIFT = 0.5
 _MAX_LAYER_STEP = 1.0   # h sqrt(s max|m'|)
 _EXP_FLAT = 40.0        # e^x - 1 rounds to e^x past this
 _BLOCK = 1 << 15        # cells per vectorized block: keeps temporaries small
+MAX_NODES = 1 << 24     # largest grid assembled: 128 MB per float array
 
 
 @dataclass(frozen=True)
@@ -123,6 +124,8 @@ def _build(a, b, n, c, ends, s=0.0, profile=None):
     """
     if n < 4:
         raise ValidationError("grid too small (need n >= 4)")
+    if n > MAX_NODES:
+        raise ValidationError(f"grid too large (n = {n} > {MAX_NODES})")
     if ends is None:
         n_cells = n
         kept = slice(0, n)
@@ -220,23 +223,19 @@ def principal_eigen(op: DiscreteOperator) -> EigenPair:
     trapezoid-rule integral of w^2 over the full grid equals 1.
     """
     pair = smallest_eig(op.matrix)
-    w = pair.vector.copy()
+    w = pair.vector                     # the returned pair's own vector
     w[0] *= op.scales[0]
     w[-1] *= op.scales[1]
-    x, full = _full_grid_function(op, w)
+    x, full = eigenfunction_on_grid(op, pair)
     w /= math.sqrt(float(np.trapezoid(full ** 2, x)))
-    return EigenPair(pair.lam, w, pair.residual)
-
-
-def _full_grid_function(op, w_kept):
-    full = np.zeros(op.nodes.size)
-    full[op.kept] = w_kept
-    if op.matrix.corner is not None:
-        full[-1] = w_kept[0]            # x = 1 is node 0 again
-    return op.nodes, full
+    return pair
 
 
 def eigenfunction_on_grid(op: DiscreteOperator, pair: EigenPair):
     """(x, w) on the full node set, zeros at removed Dirichlet nodes; on
     the circle the last node is x = 1 and repeats w at x = 0."""
-    return _full_grid_function(op, pair.vector)
+    full = np.zeros(op.nodes.size)
+    full[op.kept] = pair.vector
+    if op.matrix.corner is not None:
+        full[-1] = pair.vector[0]       # x = 1 is node 0 again
+    return op.nodes, full

@@ -26,7 +26,7 @@ import numpy as np
 from . import lab, maxset, predictor
 from .errors import MalformedSpec, NumericalError, ValidationError
 from .profile import (PeriodicBC, Potential, RobinBC, TEMPLATES, build_profile,
-                      builtin, load_profile_json, potential_from_dict,
+                      builtin, potential_from_dict, profile_from_dict,
                       read_json)
 
 
@@ -74,7 +74,7 @@ def _load_inputs(args):
     if args.template:
         spec = _parse_template_arg(args.template)
     elif args.profile:
-        spec, potential = load_profile_json(args.profile)
+        spec, potential = profile_from_dict(read_json(args.profile))
     else:
         raise MalformedSpec("need --template NAME[:p1,p2,...] or --profile FILE")
     profile = build_profile(spec)
@@ -176,12 +176,6 @@ def _prediction_payload(pred):
     }
 
 
-def _predict(profile, potential, bc):
-    """(decomposition, prediction) under Robin or periodic data."""
-    decomp = predictor.decompose_under(profile, potential, bc)
-    return decomp, predictor.predict_limit(decomp, potential, bc)
-
-
 # -- subcommands ---------------------------------------------------------
 
 def _cmd_classify(args):
@@ -199,7 +193,8 @@ def _cmd_classify(args):
 def _cmd_predict(args):
     profile, potential = _load_inputs(args)
     bc = _parse_bc(args.bc)
-    _, pred = _predict(profile, potential, bc)
+    decomp = predictor.decompose_under(profile, potential, bc)
+    pred = predictor.predict_limit(decomp, potential, bc)
     _emit_json(_prediction_payload(pred))
     return 0
 
@@ -258,7 +253,8 @@ def _cmd_sweep(args):
 def _cmd_report(args):
     profile, potential = _load_inputs(args)
     bc = _parse_bc(args.bc)
-    decomp, pred = _predict(profile, potential, bc)
+    decomp = predictor.decompose_under(profile, potential, bc)
+    pred = predictor.predict_limit(decomp, potential, bc)
     outdir = args.outdir or "."
     os.makedirs(outdir, exist_ok=True)
 

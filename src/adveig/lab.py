@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import (DiscreteOperator, _build, assemble_transformed,
+from .assembly import (MAX_NODES, DiscreteOperator, _build, assemble_transformed,
                        eigenfunction_on_grid, principal_eigen)
 from .errors import (AdveigError, InsufficientData, IntervalOutOfDomain,
                      KStarUndefined, MassTooSmall, NoDecay, NonPositiveLambda,
@@ -55,6 +55,8 @@ class GridPolicy:
                 max(s, 1.0) * profile.max_abs_deriv)
         else:
             size = self.multiplier * max(s, 1.0) * profile.max_abs_deriv
+        if not size <= MAX_NODES:        # an overflowed size is inf
+            raise ValidationError(f"s = {s:g} needs a grid over {MAX_NODES} nodes")
         return int(max(self.floor, math.ceil(size)))
 
 
@@ -126,8 +128,9 @@ def sweep(profile, c, bc, s_ladder, grid_policy: GridPolicy | None = None,
     mass_intervals = tuple((float(lo), float(hi)) for lo, hi in mass_intervals)
 
     def run(s):
-        n = policy.n_for(profile, s)
+        n = 0                           # no grid: the policy refused s
         try:
+            n = policy.n_for(profile, s)
             return _solve_one(profile, c, bc, s, n, mass_intervals)
         except AdveigError as exc:   # keep partial ladder progress
             return SweepRecord(s=float(s), n=n, lam=None,

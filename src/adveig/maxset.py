@@ -69,9 +69,6 @@ class MaxSetDecomposition:
         out.extend((s.a, s.b) for s in self.segments)
         return sorted(out)
 
-    def boundary_segments(self):
-        return tuple(s for s in self.segments if s.cls in ("M6", "M7", "M8", "M9"))
-
 
 def _sign_runs(profile: AdvectionProfile):
     """Merge adjacent equal-sign segments into (sign, lo, hi) runs, with
@@ -164,7 +161,7 @@ def decompose_periodic(profile: AdvectionProfile) -> MaxSetDecomposition:
     if profile.knot_values(0)[1] <= 0:
         raise PreconditionViolated("periodic decomposition requires m'(0) > 0")
     decomp = decompose(profile)
-    if decomp.boundary_segments():
+    if any(s.cls in ("M6", "M7", "M8", "M9") for s in decomp.segments):
         raise BoundaryClassPresent(
             "boundary plateau classes are not meaningful on the circle")
     interior = tuple(p for p in decomp.isolated if p.position == INTERIOR)

@@ -40,6 +40,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -420,32 +421,13 @@ def _check_interior(*points):
         raise BadParams("breakpoints must be strictly ascending")
 
 
-def _t_example1(x1, x2, x3, x4):
-    _check_interior(x1, x2, x3, x4)
-    return _ramp_chain((0.0, x1, x2, x3, x4, 1.0),
-                       (0.5, 0.0, 0.45, 0.45, 0.05, 0.4))
-
-
-def _t_example2(x1, x2):
-    _check_interior(x1, x2)
-    return _ramp_chain((0.0, x1, x2, 1.0), (0.5, 0.0, 0.0, 0.5))
-
-
-def _t_example3(x1, x2):
-    _check_interior(x1, x2)
-    return _ramp_chain((0.0, x1, x2, 1.0), (0.0, 0.3, 0.3, 0.6))
-
-
-def _t_t1(a1, a2, a3, a4, a5):
-    _check_interior(a1, a2, a3, a4, a5)
-    return _ramp_chain((0.0, a1, a2, a3, a4, a5, 1.0),
-                       (0.0, 0.5, 0.1, 0.4, 0.4, 0.0, 0.45))
-
-
-def _t_t2(a1, a2, a3, a4, a5, a6):
-    _check_interior(a1, a2, a3, a4, a5, a6)
-    return _ramp_chain((0.0, a1, a2, a3, a4, a5, a6, 1.0),
-                       (0.0, 0.5, 0.1, 0.1, 0.35, 0.35, 0.6, 0.6))
+def _ramp_template(levels, *points):
+    """Quintic ramps through levels, with the breakpoints between them;
+    a wrong breakpoint count is a TypeError, as for the other builders."""
+    if len(points) != len(levels) - 2:
+        raise TypeError(f"{len(levels) - 2} breakpoints needed")
+    _check_interior(*points)
+    return _ramp_chain((0.0, *points, 1.0), levels)
 
 
 def _t_monotone_increasing():
@@ -524,11 +506,16 @@ def _t_periodic_bump(x0, amp=1.0):
 
 
 TEMPLATES = {
-    "example1": (_t_example1, "x1,x2,x3,x4: down, up, flat max plateau, down, up"),
-    "example2": (_t_example2, "x1,x2: down, flat valley-to-valley plateau, up"),
-    "example3": (_t_example3, "x1,x2: up, flat step plateau, up"),
-    "t1": (_t_t1, "a1..a5: up,down,up,flat,down,up (isolated max + NN plateau)"),
-    "t2": (_t_t2, "a1..a6: up,down,flat,up,flat,up,flat (DD/ND/NN plateaus)"),
+    "example1": (partial(_ramp_template, (0.5, 0.0, 0.45, 0.45, 0.05, 0.4)),
+                 "x1,x2,x3,x4: down, up, flat max plateau, down, up"),
+    "example2": (partial(_ramp_template, (0.5, 0.0, 0.0, 0.5)),
+                 "x1,x2: down, flat valley-to-valley plateau, up"),
+    "example3": (partial(_ramp_template, (0.0, 0.3, 0.3, 0.6)),
+                 "x1,x2: up, flat step plateau, up"),
+    "t1": (partial(_ramp_template, (0.0, 0.5, 0.1, 0.4, 0.4, 0.0, 0.45)),
+           "a1..a5: up,down,up,flat,down,up (isolated max + NN plateau)"),
+    "t2": (partial(_ramp_template, (0.0, 0.5, 0.1, 0.1, 0.35, 0.35, 0.6, 0.6)),
+           "a1..a6: up,down,flat,up,flat,up,flat (DD/ND/NN plateaus)"),
     "monotone_increasing": (_t_monotone_increasing, "(no params): m(x) = x"),
     "vee": (_t_vee, "x0[,amp]: amp*(x-x0)^2, decreasing then increasing"),
     "power_max": (_t_power_max, "x0,kstar[,amp]: m = -amp*(x-x0)^kstar, even k*"),
@@ -540,14 +527,15 @@ TEMPLATES = {
 def builtin(template: str, *params) -> ProfileSpec:
     """Instantiate a named template spec (still needs build_profile)."""
     try:
-        builder, _ = TEMPLATES[template]
+        builder, doc = TEMPLATES[template]
     except KeyError:
         raise UnknownTemplate(f"unknown template {template!r}; "
                               f"known: {', '.join(sorted(TEMPLATES))}") from None
     try:
         return builder(*[float(p) for p in params])
-    except TypeError as exc:
-        raise BadParams(f"{template}: {exc}") from None
+    except TypeError:     # a wrong parameter count
+        raise BadParams(f"{template} takes {doc.split(':')[0]}; "
+                        f"{len(params)} given") from None
 
 
 # -- JSON schema ----------------------------------------------------------
@@ -604,7 +592,3 @@ def read_json(path):
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise MalformedSpec(f"cannot read JSON: {exc}") from None
-
-
-def load_profile_json(path):
-    return profile_from_dict(read_json(path))

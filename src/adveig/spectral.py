@@ -156,8 +156,9 @@ def _fix_sign(v):
 def _delta(norm):
     """Certificate margin for ||T||_inf = norm: TOL_LAMBDA, widened to
     the backward-error scale eps*||T|| below which the LDL^T test of the
-    rounded matrix is not meaningful."""
-    return max(TOL_LAMBDA, 64 * np.finfo(float).eps * norm)
+    rounded matrix is not meaningful.  A Python float, so messages print
+    plain numbers."""
+    return float(max(TOL_LAMBDA, 64 * np.finfo(float).eps * norm))
 
 
 class _ShiftedFactor:

@@ -197,6 +197,41 @@ def test_solve_zero_grid_size_exit_2(capsys):
     assert err == "ValidationError: transformed assembly needs n >= 16\n"
 
 
+def test_grid_past_the_cap_exit_2(capsys):
+    # both s ask for a grid far past assembly.MAX_NODES: one overflows the
+    # policy's size to inf, one would ask np.arange for ~1e152 nodes
+    for template, bc, s in (("t1:0.15,0.3,0.45,0.6,0.8", "robin:1,0,1,0", "1e300"),
+                            ("monotone_increasing", "robin:0,1,0,1", "1e308")):
+        code, out, err = run_cli(capsys, "solve", "--template", template,
+                                 "--c", "zero", "--bc", bc, "--s", s)
+        assert (code, out) == (2, "")
+        assert err.startswith("ValidationError: ") and "16777216" in err
+
+
+def test_sweep_keeps_its_ladder_past_the_grid_cap(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--template", "t1:0.15,0.3,0.45,0.6,0.8",
+                             "--c", "zero", "--bc", "robin:1,0,1,0",
+                             "--ladder", "10,1e300")
+    assert (code, err) == (3, "")
+    lines = out.splitlines()
+    assert len(lines) == 3
+    assert lines[1].startswith("10,2000,")
+    assert lines[2] == "1e+300,0,error:ValidationError,"
+
+
+def test_bad_params_name_the_template_and_its_parameters(capsys):
+    # too many values for every template (none takes seven), too few for two
+    from adveig.profile import TEMPLATES
+    cases = [(name, f"{name}:{','.join(['0.1'] * 7)}") for name in TEMPLATES]
+    cases += [("t1", "t1:0.1,0.2"), ("vee", "vee")]
+    for name, arg in cases:
+        code, out, err = run_cli(capsys, "classify", "--template", arg)
+        assert (code, out) == (2, ""), arg
+        params = TEMPLATES[name][1].split(":")[0]
+        assert err.startswith(f"BadParams: {name} takes {params}; "), err
+        assert "_t_" not in err and "positional" not in err
+
+
 def test_solve_dump_eigenfunction(tmp_path, capsys):
     out_csv = tmp_path / "w.csv"
     code, out, _ = run_cli(capsys, "solve", "--template", "power_max:0.5,2",

@@ -177,6 +177,18 @@ def test_no_convergence_when_cholesky_never_succeeds(monkeypatch, corner):
     assert len(shifts) == spectral.MAX_STEPS
 
 
+def test_no_convergence_prints_the_bracket_as_plain_floats(monkeypatch):
+    """64 eps ||T||inf = 5.7e-10 exceeds TOL_LAMBDA here, so the margin
+    comes from eps; both ends of the bracket still print as floats."""
+    monkeypatch.setattr(spectral, "MAX_STEPS", 1)
+    with pytest.raises(NoConvergence) as exc:
+        smallest_eig(SymTridiag(np.full(4, 2e4), np.full(3, -1e4)))
+    bracket = str(exc.value).split("bracket ")[1]
+    assert "np." not in bracket
+    lo, hi = (float(v) for v in bracket.strip("[])").split(", "))
+    assert lo < 0 < hi
+
+
 def test_each_distinct_shift_is_factored_once(monkeypatch):
     """dpttrf runs once per distinct shift: the inverse-iteration steps
     at the final certified shift reuse its factors."""
