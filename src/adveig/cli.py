@@ -15,7 +15,7 @@ error, 3 numerical failure; errors go to stderr as "Code: message".
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import contextlib
 import json
 import math
 import os
@@ -24,7 +24,8 @@ import sys
 import numpy as np
 
 from . import lab, maxset, predictor
-from .errors import MalformedSpec, NumericalError, ValidationError
+from .errors import (MalformedSpec, NumericalError, UnwritableOutput,
+                     ValidationError)
 from .profile import (PeriodicBC, Potential, RobinBC, TEMPLATES, build_profile,
                       builtin, potential_from_dict, profile_from_dict,
                       read_json)
@@ -51,6 +52,8 @@ def _emit_json(payload):
 
 
 # -- argument parsing ----------------------------------------------------
+# Every flag converts through its type=; argparse turns a TypeError or
+# ValueError there into a usage error, so converters raise ValidationError.
 
 def _number(text, convert=float):
     try:
@@ -64,26 +67,19 @@ def _number(text, convert=float):
 
 def _parse_template_arg(text):
     name, _, rest = text.partition(":")
-    return builtin(name, *[_number(p) for p in rest.split(",") if p])
+    return builtin(name, *map(_number, rest.split(",") if rest else ())), None
 
 
 def _load_inputs(args):
-    """(profile, potential) from --template/--profile plus --c.  The
-    potential defaults to zero only for subcommands that take --c."""
-    potential = None
-    if args.template:
-        spec = _parse_template_arg(args.template)
-    elif args.profile:
-        spec, potential = profile_from_dict(read_json(args.profile))
-    else:
+    """(profile, potential): the potential is --c, else the profile
+    file's potential block, else zero; classify takes no --c."""
+    source = args.template or args.profile
+    if source is None:
         raise MalformedSpec("need --template NAME[:p1,p2,...] or --profile FILE")
-    profile = build_profile(spec)
+    spec, potential = source
     if hasattr(args, "c"):
-        if args.c:
-            potential = _parse_potential_arg(args.c)
-        if potential is None:
-            potential = Potential.zero()
-    return profile, potential
+        potential = args.c or potential or Potential.zero()
+    return build_profile(spec), potential
 
 
 def _parse_potential_arg(text):
@@ -129,8 +125,8 @@ def _parse_ladder(text):
         else:
             raise MalformedSpec("ladder mode must be log or lin")
     else:
-        ladder = [_number(v) for v in text.split(",") if v]
-    if any(b <= a for a, b in zip(ladder, ladder[1:])) or not ladder:
+        ladder = [_number(v) for v in text.split(",")]
+    if any(b <= a for a, b in zip(ladder, ladder[1:])):
         raise MalformedSpec("ladder must be strictly ascending")
     return ladder
 
@@ -138,20 +134,18 @@ def _parse_ladder(text):
 def _parse_mass_intervals(text):
     if not text:
         return ()
-    out = []
-    for block in text.split(";"):
-        pair = [_number(v) for v in block.split(",")]
-        if len(pair) != 2:
-            raise MalformedSpec("--mass-intervals needs lo,hi pairs separated by ';'")
-        out.append(tuple(pair))
-    return tuple(out)
+    pairs = [[_number(v) for v in block.split(",")] for block in text.split(";")]
+    if any(len(pair) != 2 for pair in pairs):
+        raise MalformedSpec("--mass-intervals needs lo,hi pairs separated by ';'")
+    return lab._check_intervals(pairs)
 
 
-def _grid_policy(args):
-    """DEFAULT_POLICY with the --grid-* flags that were given."""
-    given = {"multiplier": args.grid_multiplier, "floor": args.grid_floor}
-    return dataclasses.replace(
-        lab.DEFAULT_POLICY, **{k: v for k, v in given.items() if v is not None})
+def _create(path):
+    """path opened for writing; one that cannot be is a validation error."""
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise UnwritableOutput(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _serialize_source(term):
@@ -192,34 +186,31 @@ def _cmd_classify(args):
 
 def _cmd_predict(args):
     profile, potential = _load_inputs(args)
-    bc = _parse_bc(args.bc)
-    decomp = predictor.decompose_under(profile, potential, bc)
-    pred = predictor.predict_limit(decomp, potential, bc)
+    decomp = predictor.decompose_under(profile, potential, args.bc)
+    pred = predictor.predict_limit(decomp, potential, args.bc)
     _emit_json(_prediction_payload(pred))
     return 0
 
 
 def _cmd_solve(args):
     profile, potential = _load_inputs(args)
-    bc = _parse_bc(args.bc)
-    n = args.n if args.n is not None else _grid_policy(args).n_for(profile, args.s)
-    record = lab._solve_one(profile, potential, bc, args.s, n)
-    sys.stdout.write(_fmt(record.lam) + "\n")
+    policy = lab.GridPolicy(args.grid_multiplier, args.grid_floor)
+    n = args.n if args.n is not None else policy.n_for(profile, args.s)
+    record = lab._solve_one(profile, potential, args.bc, args.s, n)
     if args.dump_eigenfunction:
         x, w = record.grid
-        with open(args.dump_eigenfunction, "w") as fh:
+        with _create(args.dump_eigenfunction) as fh:
             fh.write("x,w\n")
             for xi, wi in zip(x, w):
                 fh.write(f"{_fmt(xi)},{_fmt(wi)}\n")
+    sys.stdout.write(_fmt(record.lam) + "\n")
     return 0
 
 
-def _sweep_records(args, profile, potential, bc):
-    ladder = _parse_ladder(args.ladder)
-    intervals = _parse_mass_intervals(args.mass_intervals)
-    records = lab.sweep(profile, potential, bc, ladder,
-                        grid_policy=_grid_policy(args), mass_intervals=intervals)
-    return records, intervals
+def _sweep_records(args, profile, potential):
+    return lab.sweep(profile, potential, args.bc, args.ladder,
+                     grid_policy=lab.GridPolicy(args.grid_multiplier, args.grid_floor),
+                     mass_intervals=args.mass_intervals)
 
 
 def _write_sweep_csv(records, intervals, stream, timings):
@@ -240,28 +231,27 @@ def _write_sweep_csv(records, intervals, stream, timings):
 
 def _cmd_sweep(args):
     profile, potential = _load_inputs(args)
-    bc = _parse_bc(args.bc)
-    records, intervals = _sweep_records(args, profile, potential, bc)
-    if args.out:
-        with open(args.out, "w") as fh:
-            _write_sweep_csv(records, intervals, fh, args.timings)
-    else:
-        _write_sweep_csv(records, intervals, sys.stdout, args.timings)
+    with (_create(args.out) if args.out
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        records = _sweep_records(args, profile, potential)
+        _write_sweep_csv(records, args.mass_intervals, fh, args.timings)
     return 0 if all(r.error is None for r in records) else 3
 
 
 def _cmd_report(args):
     profile, potential = _load_inputs(args)
-    bc = _parse_bc(args.bc)
-    decomp = predictor.decompose_under(profile, potential, bc)
-    pred = predictor.predict_limit(decomp, potential, bc)
+    decomp = predictor.decompose_under(profile, potential, args.bc)
+    pred = predictor.predict_limit(decomp, potential, args.bc)
     outdir = args.outdir or "."
-    os.makedirs(outdir, exist_ok=True)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        raise UnwritableOutput(f"cannot create {outdir}: {exc.strerror}") from None
 
     payload = {"prediction": _prediction_payload(pred)}
-    records, intervals = _sweep_records(args, profile, potential, bc)
+    records = _sweep_records(args, profile, potential)
     good = [r for r in records if r.error is None]
-    with open(os.path.join(outdir, "lambda_vs_s.dat"), "w") as fh:
+    with _create(os.path.join(outdir, "lambda_vs_s.dat")) as fh:
         for r in good:
             fh.write(f"{_fmt(r.s)} {_fmt(r.lam)}\n")
 
@@ -285,7 +275,7 @@ def _cmd_report(args):
                 resc = lab.rescaled_profile(x, w, src.x, src.k_star,
                                             good[-1].s, radius)
                 profile_file = os.path.join(outdir, "rescaled_profile.dat")
-                with open(profile_file, "w") as fh:
+                with _create(profile_file) as fh:
                     for yi, vi in zip(resc.y, resc.values):
                         fh.write(f"{_fmt(yi)} {_fmt(vi)}\n")
                 payload["rescaled_profile"] = {
@@ -304,77 +294,58 @@ def _cmd_templates(args):
 
 # -- entry point ---------------------------------------------------------
 
-def _add_profile_args(p, with_c=True):
-    source = p.add_mutually_exclusive_group()
-    source.add_argument("--template", help="builtin template NAME[:p1,p2,...]")
-    source.add_argument("--profile", help="profile JSON file")
-    if with_c:
-        p.add_argument("--c", default=None,
-                       help="potential: zero | const:v | poly:c0,c1,... | FILE")
-
-
-def _add_grid_args(p):
-    policy = lab.DEFAULT_POLICY
-    p.add_argument("--grid-multiplier", type=_number, default=None,
-                   help="override the n(s) policy multiplier: n = multiplier "
-                        "* s max|m'|, or 8 * multiplier * sqrt(s max|m'|) "
-                        "where m' = 0 at both ends "
-                        f"(default {policy.multiplier:g})")
-    p.add_argument("--grid-floor", type=int, default=None,
-                   help=f"override the n(s) policy floor (default {policy.floor})")
-
-
 def build_parser():
+    policy = lab.DEFAULT_POLICY
+    source = argparse.ArgumentParser(add_help=False)
+    group = source.add_mutually_exclusive_group()
+    group.add_argument("--template", type=_parse_template_arg,
+                       help="builtin template NAME[:p1,p2,...]")
+    group.add_argument("--profile", type=lambda path: profile_from_dict(read_json(path)),
+                       help="profile JSON file")
+    data = argparse.ArgumentParser(add_help=False)
+    data.add_argument("--c", type=_parse_potential_arg,
+                      help="potential: zero | const:v | poly:c0,c1,... | FILE")
+    data.add_argument("--bc", type=_parse_bc, required=True,
+                      help="robin:h1,l1,h2,l2 | periodic")
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--grid-multiplier", type=_number, default=policy.multiplier,
+                      help="override the n(s) policy multiplier: n = multiplier "
+                           "* s max|m'|, or 8 * multiplier * sqrt(s max|m'|) "
+                           "where m' = 0 at both ends "
+                           f"(default {policy.multiplier:g})")
+    grid.add_argument("--grid-floor", type=int, default=policy.floor,
+                      help=f"override the n(s) policy floor (default {policy.floor})")
+    ladder = argparse.ArgumentParser(add_help=False, parents=[grid])
+    ladder.add_argument("--ladder", type=_parse_ladder, required=True,
+                        help="start:stop:count[:log|lin] or comma list")
+    ladder.add_argument("--mass-intervals", type=_parse_mass_intervals, default=(),
+                        help="semicolon-separated lo,hi pairs")
+
     parser = argparse.ArgumentParser(
         prog="adveig",
         description="principal-eigenvalue laboratory for large-advection "
                     "1D elliptic operators")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classify", help="emit the local-maximum decomposition")
-    _add_profile_args(p, with_c=False)
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("predict", help="predicted s->infinity limit")
-    _add_profile_args(p)
-    p.add_argument("--bc", required=True, help="robin:h1,l1,h2,l2 | periodic")
-    p.set_defaults(func=_cmd_predict)
-
-    p = sub.add_parser("solve", help="principal eigenvalue at one s")
-    _add_profile_args(p)
-    p.add_argument("--bc", required=True)
-    p.add_argument("--s", type=_number, required=True)
-    p.add_argument("--n", type=int, default=None, help="grid size override")
-    p.add_argument("--dump-eigenfunction", metavar="FILE",
-                   help="write the grid eigenfunction as x,w CSV")
-    _add_grid_args(p)
-    p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("sweep", help="run an s ladder, emit CSV")
-    _add_profile_args(p)
-    p.add_argument("--bc", required=True)
-    p.add_argument("--ladder", required=True,
-                   help="start:stop:count[:log|lin] or comma list")
-    p.add_argument("--mass-intervals", default="",
-                   help="semicolon-separated lo,hi pairs")
-    p.add_argument("--out", default=None, help="CSV path (default stdout)")
-    p.add_argument("--timings", action="store_true",
-                   help="emit real wall times (breaks byte determinism)")
-    _add_grid_args(p)
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("report", help="predict + sweep + estimate verdict")
-    _add_profile_args(p)
-    p.add_argument("--bc", required=True)
-    p.add_argument("--ladder", required=True)
-    p.add_argument("--mass-intervals", default="")
-    p.add_argument("--outdir", default=None,
-                   help="plot-data directory (default .)")
-    _add_grid_args(p)
-    p.set_defaults(func=_cmd_report)
-
-    p = sub.add_parser("templates", help="list builtin profile templates")
-    p.set_defaults(func=_cmd_templates)
+    cmds = {}
+    for name, func, parents, summary in (
+            ("classify", _cmd_classify, [source], "emit the local-maximum decomposition"),
+            ("predict", _cmd_predict, [source, data], "predicted s->infinity limit"),
+            ("solve", _cmd_solve, [source, data, grid], "principal eigenvalue at one s"),
+            ("sweep", _cmd_sweep, [source, data, ladder], "run an s ladder, emit CSV"),
+            ("report", _cmd_report, [source, data, ladder],
+             "predict + sweep + estimate verdict"),
+            ("templates", _cmd_templates, [], "list builtin profile templates")):
+        cmds[name] = sub.add_parser(name, parents=parents, help=summary)
+        cmds[name].set_defaults(func=func)
+    cmds["solve"].add_argument("--s", type=_number, required=True)
+    cmds["solve"].add_argument("--n", type=int, default=None, help="grid size override")
+    cmds["solve"].add_argument("--dump-eigenfunction", metavar="FILE",
+                               help="write the grid eigenfunction as x,w CSV")
+    cmds["sweep"].add_argument("--out", default=None, help="CSV path (default stdout)")
+    cmds["sweep"].add_argument("--timings", action="store_true",
+                               help="emit real wall times (breaks byte determinism)")
+    cmds["report"].add_argument("--outdir", default=None,
+                                help="plot-data directory (default .)")
     return parser
 
 
@@ -382,7 +353,7 @@ _PARSER = build_parser()     # built once: it is reused by every call of main
 
 
 def main(argv=None):
-    try:   # --s and --grid-multiplier parse through _number
+    try:   # every input converts, and may raise, inside parse_args
         args = _PARSER.parse_args(argv)
         return args.func(args)
     except ValidationError as exc:

@@ -98,3 +98,8 @@ class MassTooSmall(ValidationError): pass
 class KStarUndefined(ValidationError): pass
 class NoOverlap(ValidationError): pass
 class NoDecay(NumericalError): pass
+
+
+# -- cli ---------------------------------------------------------------
+
+class UnwritableOutput(ValidationError): pass

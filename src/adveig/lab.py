@@ -111,12 +111,24 @@ def _solve_one(profile, c, bc, s, n, mass_intervals=()):
                        wall_time=time.perf_counter() - t0, grid=(x, w))
 
 
+def _check_intervals(intervals):
+    """The mass intervals as float pairs, each with 0 <= lo <= hi <= 1."""
+    pairs = tuple((float(lo), float(hi)) for lo, hi in intervals)
+    for lo, hi in pairs:
+        if not 0.0 <= lo <= hi <= 1.0:
+            raise IntervalOutOfDomain(f"mass interval [{lo}, {hi}] needs "
+                                      "0 <= lo <= hi <= 1")
+    return pairs
+
+
 def sweep(profile, c, bc, s_ladder, grid_policy: GridPolicy | None = None,
           mass_intervals=(), map_fn=map):
     """One SweepRecord per ladder entry, in ladder order.
 
-    Library failures (AdveigError) are recorded per entry (error marker)
-    instead of aborting the whole ladder; programming errors propagate.
+    A mass interval outside [0, 1] raises IntervalOutOfDomain before any
+    solve.  Library failures (AdveigError) are recorded per entry (error
+    marker) instead of aborting the whole ladder; programming errors
+    propagate.
     map_fn exists only for the benchmark's two-thread diagnostic
     (perfbench/run.py), which checks whether concurrent entries pay;
     results are merged in ladder order regardless.
@@ -125,7 +137,7 @@ def sweep(profile, c, bc, s_ladder, grid_policy: GridPolicy | None = None,
         raise InsufficientData("empty s ladder")
     s_ladder = sorted(float(s) for s in s_ladder)
     policy = grid_policy or DEFAULT_POLICY
-    mass_intervals = tuple((float(lo), float(hi)) for lo, hi in mass_intervals)
+    mass_intervals = _check_intervals(mass_intervals)
 
     def run(s):
         n = 0                           # no grid: the policy refused s

@@ -413,6 +413,15 @@ def _shift_poly(coeffs, s):
     return tuple(out)
 
 
+def _split_power(x0, p, left, right, signs):
+    """left (x - x0)^p on [0, x0] and right (x - x0)^p on [x0, 1], each
+    piece in its own local variable."""
+    def mono(coeff):
+        return (0.0,) * p + (float(coeff),)
+    return ProfileSpec((0.0, x0, 1.0), (_shift_poly(mono(left), -x0), mono(right)),
+                       signs)
+
+
 def _check_interior(*points):
     pts = list(points)
     if any(not (0.0 < p < 1.0) for p in pts):
@@ -442,9 +451,7 @@ def _t_vee(x0, amp=0.2):
     _check_interior(x0)
     if amp <= 0:
         raise BadParams("vee amplitude must be positive")
-    left = (amp * x0 ** 2, -2.0 * amp * x0, amp)
-    right = (0.0, 0.0, amp)
-    return ProfileSpec((0.0, x0, 1.0), (left, right), ("decreasing", "increasing"))
+    return _split_power(x0, 2, amp, amp, ("decreasing", "increasing"))
 
 
 def _t_power_max(x0, kstar, amp=1.0):
@@ -457,11 +464,7 @@ def _t_power_max(x0, kstar, amp=1.0):
         raise BadParams("power_max needs an even integer k* in [2, 8]")
     if amp <= 0:
         raise BadParams("power_max amplitude must be positive")
-    mono = [0.0] * (k + 1)
-    mono[k] = -float(amp)
-    left = _shift_poly(mono, -x0)
-    right = tuple(mono)
-    return ProfileSpec((0.0, x0, 1.0), (left, right), ("increasing", "decreasing"))
+    return _split_power(x0, k, -amp, -amp, ("increasing", "decreasing"))
 
 
 def _t_power_well(x0, nu, amp=1.0):
@@ -476,14 +479,8 @@ def _t_power_well(x0, nu, amp=1.0):
         raise BadParams("power_well amplitude must be positive")
     p = n + 1
     c = float(amp) / p
-    mono = [0.0] * (p + 1)
-    mono[p] = c
-    right = tuple(mono)
-    # left piece: c (x0 - x)^p = c (-(t - x0))^p in local t
-    mono_left = [0.0] * (p + 1)
-    mono_left[p] = c * (-1.0) ** p
-    left = _shift_poly(mono_left, -x0)
-    return ProfileSpec((0.0, x0, 1.0), (left, right), ("decreasing", "increasing"))
+    # left piece: c (x0 - x)^p = c (-1)^p (x - x0)^p
+    return _split_power(x0, p, c * (-1.0) ** p, c, ("decreasing", "increasing"))
 
 
 _BUMP = (0.0, 0.0, 1.0, -2.0, 1.0)  # u^2 (1-u)^2

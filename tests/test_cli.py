@@ -441,3 +441,124 @@ def test_report_unbounded_verdict(tmp_path, capsys):
     assert doc["prediction"]["verdict"] == "unbounded"
     assert doc["max_abs_gap"] is None
     assert not doc["converged"]
+
+
+CLI_SOURCE = {"--template": (False, None), "--profile": (False, None)}
+CLI_DATA = {**CLI_SOURCE, "--c": (False, None), "--bc": (True, None)}
+CLI_GRID = {"--grid-multiplier": (False, 16.0), "--grid-floor": (False, 2000)}
+CLI_LADDER = {**CLI_DATA, **CLI_GRID, "--ladder": (True, None),
+              "--mass-intervals": (False, ())}
+CLI_OPTIONS = {
+    "classify": CLI_SOURCE,
+    "predict": CLI_DATA,
+    "solve": {**CLI_DATA, **CLI_GRID, "--s": (True, None), "--n": (False, None),
+              "--dump-eigenfunction": (False, None)},
+    "sweep": {**CLI_LADDER, "--out": (False, None), "--timings": (False, False)},
+    "report": {**CLI_LADDER, "--outdir": (False, None)},
+    "templates": {},
+}
+
+
+def test_subcommand_options_required_flags_and_defaults():
+    """Each subcommand's option strings, which of them are required, and
+    what a handler reads for an absent flag.  A grid flag left at None
+    reads lab.DEFAULT_POLICY, and an empty --mass-intervals string reads
+    as no intervals, so those spellings record the same default."""
+    import argparse
+    from adveig.cli import build_parser
+    from adveig.lab import DEFAULT_POLICY
+    assert (DEFAULT_POLICY.multiplier, DEFAULT_POLICY.floor) == (16.0, 2000)
+    absent = {"grid_multiplier": DEFAULT_POLICY.multiplier,
+              "grid_floor": DEFAULT_POLICY.floor, "mass_intervals": ()}
+
+    def read(action):
+        if action.default in (None, "") and action.dest in absent:
+            return absent[action.dest]
+        return action.default
+
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    seen = {name: {opt: (a.required, read(a)) for a in p._actions
+                   for opt in a.option_strings if a.dest != "help"}
+            for name, p in sub.choices.items()}
+    assert seen == CLI_OPTIONS
+
+
+SWEEP_VEE = ("--template", "vee:0.5", "--c", "zero", "--bc", "robin:0,1,0,1")
+
+
+def _no_solve(monkeypatch):
+    import adveig.lab
+
+    def unreachable(*args):
+        raise AssertionError("a ladder entry was solved")
+
+    monkeypatch.setattr(adveig.lab, "_solve_one", unreachable)
+
+
+def test_mass_intervals_outside_the_domain_exit_2_before_any_solve(capsys, monkeypatch,
+                                                                   tmp_path):
+    _no_solve(monkeypatch)
+    for argv in (("sweep", *SWEEP_VEE, "--ladder", "10,20",
+                  "--mass-intervals", "0.4,0.6;0.9,1.5"),
+                 ("report", *SWEEP_VEE, "--ladder", "10,20,40",
+                  "--mass-intervals", "0.6,0.4", "--outdir", str(tmp_path))):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("IntervalOutOfDomain: mass interval"), err
+
+
+def test_unwritable_sweep_out_exit_2_before_any_solve(capsys, monkeypatch, tmp_path):
+    _no_solve(monkeypatch)
+    path = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(capsys, "sweep", *SWEEP_VEE, "--ladder", "10,20",
+                             "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"UnwritableOutput: cannot write {path}: ")
+
+
+def test_unwritable_dump_eigenfunction_exit_2(capsys, tmp_path):
+    path = tmp_path / "missing" / "w.csv"
+    code, out, err = run_cli(capsys, "solve", "--template", "vee:0.5",
+                             "--bc", "robin:0,1,0,1", "--s", "10",
+                             "--dump-eigenfunction", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"UnwritableOutput: cannot write {path}: ")
+
+
+def test_report_outdir_that_is_a_file_exit_2(capsys, tmp_path):
+    path = tmp_path / "taken"
+    path.write_text("")
+    code, out, err = run_cli(capsys, "report", *SWEEP_VEE, "--ladder", "10,20,40",
+                             "--outdir", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"UnwritableOutput: cannot create {path}: ")
+
+
+def test_empty_list_fields_are_malformed(capsys):
+    predict = ("predict", "--template", "vee:0.5", "--bc", "robin:1,0,1,0")
+    sweep = ("sweep", *SWEEP_VEE)
+    cases = [
+        ("classify", "--template", "t1:0.15,0.3,,0.45,0.6,0.8"),
+        ("classify", "--template", "vee:0.5,"),
+        (*sweep, "--ladder", "10,,20"),
+        (*sweep, "--ladder", "10,20,"),
+        (*predict, "--c", "poly:1,,2"),
+        (*sweep, "--ladder", "10,20", "--mass-intervals", "0.1,0.2;;0.3,0.4"),
+        ("predict", "--template", "vee:0.5", "--bc", "robin:1,0,,1,0"),
+    ]
+    for argv in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", "MalformedSpec: not a number: ''\n"), argv
+    # a bare NAME or NAME: still means no parameters
+    for arg in ("monotone_increasing", "monotone_increasing:"):
+        code, out, _ = run_cli(capsys, "classify", "--template", arg)
+        assert code == 0 and json.loads(out)["segments"] == []
+
+
+def test_inputs_convert_in_command_line_order(capsys):
+    bad_bc, bad_c = ("--bc", "robin:1,0,1"), ("--c", "poly:1,z")
+    for argv, first in (((*bad_bc, *bad_c), "--bc robin needs"),
+                        ((*bad_c, *bad_bc), "not a number: 'z'")):
+        code, _, err = run_cli(capsys, "predict", "--template", "vee:0.5", *argv)
+        assert code == 2 and err.startswith(f"MalformedSpec: {first}"), err

@@ -122,6 +122,19 @@ def test_mass_drift_raises_typed_error(monkeypatch):
     assert records[0].lam is None and "NumericalError" in records[0].error
 
 
+def test_sweep_refuses_mass_intervals_outside_the_domain_before_solving(monkeypatch):
+    prof = build_profile(builtin("vee", 0.5))
+
+    def unreachable(*args):
+        raise AssertionError("a ladder entry was solved")
+
+    monkeypatch.setattr(lab, "_solve_one", unreachable)
+    for bad in ((0.9, 1.5), (0.6, 0.4), (-0.1, 0.2), (0.2, float("nan"))):
+        with pytest.raises(IntervalOutOfDomain, match="0 <= lo <= hi <= 1"):
+            sweep(prof, C0, RobinBC.neumann(), [10.0, 20.0],
+                  mass_intervals=[(0.0, 0.5), bad])
+
+
 def test_sweep_propagates_programming_errors(monkeypatch):
     prof = build_profile(builtin("vee", 0.5))
 

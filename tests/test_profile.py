@@ -140,6 +140,26 @@ def test_power_templates():
         builtin("nope", 1.0)
 
 
+def test_power_template_specs_are_pinned():
+    """The coefficients of one parameter set per power template, to the
+    last bit: each side of x0 is a monomial in (x - x0), with the left
+    piece shifted to its own local variable."""
+    assert builtin("vee", 0.3, 0.7) == ProfileSpec(
+        (0.0, 0.3, 1.0), ((0.063, -0.42, 0.7), (0.0, 0.0, 0.7)),
+        ("decreasing", "increasing"))
+    assert builtin("power_max", 0.4, 6, 1.5) == ProfileSpec(
+        (0.0, 0.4, 1.0),
+        ((-0.006144000000000002, 0.09216000000000002, -0.5760000000000001,
+          1.9200000000000004, -3.6000000000000005, 3.6, -1.5),
+         (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -1.5)),
+        ("increasing", "decreasing"))
+    assert builtin("power_well", 0.45, 2, 0.8) == ProfileSpec(
+        (0.0, 0.45, 1.0),
+        ((0.024300000000000002, -0.16200000000000003, 0.36000000000000004,
+          -0.26666666666666666), (0.0, 0.0, 0.0, 0.26666666666666666)),
+        ("decreasing", "increasing"))
+
+
 def test_increasing_accepts_even_multiplicity_interior_zeros():
     # m'(t) = (t - 0.4)^2 (t - 0.9)^2: nonnegative, vanishing inside,
     # positive somewhere - a valid "increasing" segment
