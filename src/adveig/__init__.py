@@ -11,11 +11,10 @@ from .lab import (GridPolicy, LimitProfile, RescaledProfile, SweepRecord,
                   component_mass_radius, estimate_limit, growth_exponent,
                   limit_ode_ground_state, mass_distribution, profile_distance,
                   rescaled_profile, segment_restriction_distance, sweep)
-from .maxset import (Boundedness, IsolatedMax, MaxSetDecomposition, SegmentMax,
-                     boundedness, decompose, decompose_periodic,
-                     degeneracy_order)
-from .predictor import (LimitPrediction, LimitTerm, frak_L, periodic_prediction,
-                        predict_limit)
+from .maxset import (IsolatedMax, MaxSetDecomposition, SegmentMax, decompose,
+                     decompose_periodic, degeneracy_order)
+from .predictor import (Boundedness, LimitPrediction, LimitTerm, boundedness,
+                        frak_L, periodic_prediction, predict_limit)
 from .profile import (AdvectionProfile, PeriodicBC, Potential, ProfileSpec,
                       RobinBC, TEMPLATES, build_profile, builtin, profile_from_dict)
 from .spectral import EigenPair, SymTridiag, smallest_eig

@@ -24,8 +24,8 @@ import sys
 import numpy as np
 
 from . import lab, maxset, predictor
-from .errors import (MalformedSpec, NumericalError, UnwritableOutput,
-                     ValidationError)
+from .errors import (InsufficientData, MalformedSpec, NumericalError,
+                     UnwritableOutput, ValidationError)
 from .profile import (PeriodicBC, Potential, RobinBC, TEMPLATES, build_profile,
                       builtin, potential_from_dict, profile_from_dict,
                       read_json)
@@ -239,6 +239,9 @@ def _cmd_sweep(args):
 
 
 def _cmd_report(args):
+    if len(args.ladder) < lab.MIN_RECORDS:   # refused before any solve or file
+        raise InsufficientData(f"report needs a ladder of at least "
+                               f"{lab.MIN_RECORDS} entries")
     profile, potential = _load_inputs(args)
     decomp = predictor.decompose_under(profile, potential, args.bc)
     pred = predictor.predict_limit(decomp, potential, args.bc)

@@ -62,6 +62,7 @@ class GridPolicy:
 
 DEFAULT_POLICY = GridPolicy()
 CONVERGE_TOL = 1e-2        # tail spread below which a ladder counts as converged
+MIN_RECORDS = 3            # successful records the tail estimators need
 RESCALED_Y_MAX = 4.0       # rescaled profiles are sampled on |y| <= RESCALED_Y_MAX
 RESCALED_POINTS = 161
 
@@ -153,8 +154,8 @@ def sweep(profile, c, bc, s_ladder, grid_policy: GridPolicy | None = None,
 
 def _tail(records):
     ok = [r for r in records if r.error is None]
-    if len(ok) < 3:
-        raise InsufficientData("need at least 3 successful records")
+    if len(ok) < MIN_RECORDS:
+        raise InsufficientData(f"need at least {MIN_RECORDS} successful records")
     return ok, ok[len(ok) // 2:]
 
 

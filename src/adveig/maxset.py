@@ -16,7 +16,7 @@ classified by the signs of its flanks:
 The degeneracy order k* of an isolated maximum (first k >= 2 with
 m^(k)(x0) != 0) is defined only where the two one-sided derivative
 sequences agree through that order, i.e. where x0 effectively lies
-inside a single polynomial piece.
+inside a single polynomial piece.  No boundary data are read here.
 """
 
 from __future__ import annotations
@@ -36,11 +36,6 @@ _PLATEAU_CLASS = {
     (1, 1): "M2", (1, -1): "M3", (-1, 1): "M4", (-1, -1): "M5",
     (None, 1): "M6", (None, -1): "M7", (1, None): "M8", (-1, None): "M9",
 }
-
-SEGMENT_SUB_BC = {  # class -> (left closure, right closure); R inherits the
-    "M2": ("N", "D"), "M3": ("N", "N"), "M4": ("D", "D"), "M5": ("D", "N"),
-    "M6": ("R", "D"), "M7": ("R", "N"), "M8": ("N", "R"), "M9": ("D", "R"),
-}   # global Robin pair at the touching endpoint
 
 
 @dataclass(frozen=True)
@@ -192,32 +187,3 @@ def degeneracy_order(profile: AdvectionProfile, x0: float):
             f"m'({x0}) != 0: degeneracy order starts at k >= 2")
     raise AtSegmentJunction(
         f"one-sided derivatives disagree at {x0}; k* undefined")
-
-
-@dataclass(frozen=True)
-class Boundedness:
-    bounded: bool
-    case: str | None = None       # i-1 | i-2 | i-3 for unbounded verdicts
-
-
-def shielded(point: IsolatedMax, bc) -> bool:
-    """A boundary maximum whose end has ell > 0: the boundary data
-    penalize it, so it adds no c term to the limit.  Interior maxima
-    (the only kind on the circle) are never shielded and never read bc."""
-    return ((point.position == LEFT_BOUNDARY and bc.ell1 > 0)
-            or (point.position == RIGHT_BOUNDARY and bc.ell2 > 0))
-
-
-def boundedness(decomp: MaxSetDecomposition, bc) -> Boundedness:
-    """Boundedness trichotomy of the s -> infinity limit.
-
-    Unbounded exactly when there is no plateau and every isolated
-    maximum is shielded: (i-1) both ells positive and M = M1 subset
-    {0,1}; (i-2) ell1 > 0 = ell2 and M = {0}; (i-3) ell1 = 0 < ell2 and
-    M = {1}.
-    """
-    if decomp.segments or not all(shielded(p, bc) for p in decomp.isolated):
-        return Boundedness(True)
-    if bc.ell1 > 0 and bc.ell2 > 0:
-        return Boundedness(False, "i-1")
-    return Boundedness(False, "i-2" if bc.ell1 > 0 else "i-3")

@@ -1,14 +1,14 @@
-"""Predicted s -> infinity limit of the principal eigenvalue.
+"""Predicted s -> infinity limit of the principal eigenvalue, with the
+boundary data's part in it (shielding, the boundedness trichotomy,
+plateau closures): the one module that applies RobinBC to the limit.
 
 The finite limit is the minimum over one candidate term per component
 of the local-maximum set: c(x) at interior isolated maxima, c(0)/c(1)
 at boundary isolated maxima only when the matching ell vanishes, the
 inner-plateau sub-interval eigenvalues (the quantity frak_L), and
 Robin-closed sub-interval eigenvalues for plateaus touching a boundary,
-which inherit the global (hbar, ell) pair at that end.  Unbounded cases
-are delegated to the boundedness trichotomy.  A plateau end that
-touches the boundary is closed by RobinBC.betas, and the solve below is
-the only solver of Robin-closed plateaus.
+which inherit the global (hbar, ell) pair at that end through
+RobinBC.betas.  The solve below is the only solver of those plateaus.
 
 Each sub-interval eigenvalue is a spectral-element solve with one
 Gauss-Lobatto-Legendre (GLL) element per piece of c, which converges
@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence
-from .maxset import (SEGMENT_SUB_BC, MaxSetDecomposition, boundedness,
-                     decompose, decompose_periodic, shielded)
+from .maxset import (LEFT_BOUNDARY, RIGHT_BOUNDARY, IsolatedMax,
+                     MaxSetDecomposition, decompose, decompose_periodic)
 from .profile import PeriodicBC, Potential, RobinBC
 
 P_FINE, P_COARSE = 16, 12     # GLL element degrees of the value and its check
@@ -175,6 +175,41 @@ def _sub_eigenvalue(c, a, b, betas):
     return fine, abs(fine - _gll_eigenvalue(c, a, b, betas, P_COARSE))
 
 
+SEGMENT_SUB_BC = {  # class -> (left closure, right closure); R inherits the
+    "M2": ("N", "D"), "M3": ("N", "N"), "M4": ("D", "D"), "M5": ("D", "N"),
+    "M6": ("R", "D"), "M7": ("R", "N"), "M8": ("N", "R"), "M9": ("D", "R"),
+}   # global Robin pair at the touching endpoint
+
+
+@dataclass(frozen=True)
+class Boundedness:
+    bounded: bool
+    case: str | None = None       # i-1 | i-2 | i-3 for unbounded verdicts
+
+
+def shielded(point: IsolatedMax, bc) -> bool:
+    """A boundary maximum whose end has ell > 0: the boundary data
+    penalize it, so it adds no c term to the limit.  Interior maxima
+    (the only kind on the circle) are never shielded and never read bc."""
+    return ((point.position == LEFT_BOUNDARY and bc.ell1 > 0)
+            or (point.position == RIGHT_BOUNDARY and bc.ell2 > 0))
+
+
+def boundedness(decomp: MaxSetDecomposition, bc) -> Boundedness:
+    """Boundedness trichotomy of the s -> infinity limit.
+
+    Unbounded exactly when there is no plateau and every isolated
+    maximum is shielded: (i-1) both ells positive and M = M1 subset
+    {0,1}; (i-2) ell1 > 0 = ell2 and M = {0}; (i-3) ell1 = 0 < ell2 and
+    M = {1}.
+    """
+    if decomp.segments or not all(shielded(p, bc) for p in decomp.isolated):
+        return Boundedness(True)
+    if bc.ell1 > 0 and bc.ell2 > 0:
+        return Boundedness(False, "i-1")
+    return Boundedness(False, "i-2" if bc.ell1 > 0 else "i-3")
+
+
 def _closures(kinds, bc):
     """beta or None for each closure kind of SEGMENT_SUB_BC: N is 0, D is
     None, and R is bc's closure at that end."""
@@ -198,14 +233,6 @@ def frak_L(decomp: MaxSetDecomposition, c: Potential) -> float:
                 if seg.cls in ("M2", "M3", "M4", "M5")), default=math.inf)
 
 
-def _collect_terms(decomp, c, bc):
-    """c at each isolated maximum that bc does not shield, then one term
-    per plateau; bc is only read at boundary maxima and boundary plateaus."""
-    return ([LimitTerm("c_at_point", float(c(p.x)), p)
-             for p in decomp.isolated if not shielded(p, bc)]
-            + [_segment_term(seg, c, bc) for seg in decomp.segments])
-
-
 def _argmin_set(terms):
     """Indices of the terms tied with the minimum, and the minimum.
 
@@ -224,12 +251,16 @@ def _argmin_set(terms):
 
 def predict_limit(decomp: MaxSetDecomposition, c: Potential,
                   bc: RobinBC | PeriodicBC) -> LimitPrediction:
-    """Limit prediction, or the unbounded verdict.  A bounded verdict
-    always leaves a term: a plateau or an unshielded isolated maximum."""
+    """Limit prediction, or the unbounded verdict.  The terms are c at
+    each isolated maximum that bc does not shield, then one per plateau;
+    bc is only read at boundary maxima and boundary plateaus.  A bounded
+    verdict always leaves a term."""
     verdict = boundedness(decomp, bc)
     if not verdict.bounded:
         return LimitPrediction(False, None, case=verdict.case)
-    terms = tuple(_collect_terms(decomp, c, bc))
+    terms = tuple([LimitTerm("c_at_point", float(c(p.x)), p)
+                   for p in decomp.isolated if not shielded(p, bc)]
+                  + [_segment_term(seg, c, bc) for seg in decomp.segments])
     argmin, best = _argmin_set(terms)
     return LimitPrediction(True, best, terms, argmin)
 

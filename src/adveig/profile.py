@@ -413,13 +413,23 @@ def _shift_poly(coeffs, s):
     return tuple(out)
 
 
-def _split_power(x0, p, left, right, signs):
+def _split_power(name, amp, x0, p, left, right, signs):
     """left (x - x0)^p on [0, x0] and right (x - x0)^p on [x0, 1], each
-    piece in its own local variable."""
+    piece in its own local variable, for the template name with
+    amplitude amp.  Every coefficient of m' on the left piece is nonzero
+    in exact arithmetic, so one that rounds to zero is refused: it would
+    change the sign of m' that the template declares.  The constant term
+    m(0) may round to zero, since nothing reads m but through m'."""
+    if amp <= 0:
+        raise BadParams(f"{name} amplitude must be positive")
+
     def mono(coeff):
         return (0.0,) * p + (float(coeff),)
-    return ProfileSpec((0.0, x0, 1.0), (_shift_poly(mono(left), -x0), mono(right)),
-                       signs)
+    head = _shift_poly(mono(left), -x0)
+    if 0.0 in head[1:]:
+        raise BadParams(f"{name} amplitude {amp!r} is too small at x0 = {x0!r}: "
+                        f"a coefficient of m' on [0, x0] rounds to zero")
+    return ProfileSpec((0.0, x0, 1.0), (head, mono(right)), signs)
 
 
 def _check_interior(*points):
@@ -449,9 +459,7 @@ def _t_vee(x0, amp=0.2):
     # enough for the concentration checks while the Robin eigenvalue is
     # still in its fast pre-linear growth regime at moderate s.
     _check_interior(x0)
-    if amp <= 0:
-        raise BadParams("vee amplitude must be positive")
-    return _split_power(x0, 2, amp, amp, ("decreasing", "increasing"))
+    return _split_power("vee", amp, x0, 2, amp, amp, ("decreasing", "increasing"))
 
 
 def _t_power_max(x0, kstar, amp=1.0):
@@ -462,9 +470,8 @@ def _t_power_max(x0, kstar, amp=1.0):
     k = int(kstar)
     if k != kstar or k < 2 or k % 2 != 0 or k > DEGREE_CAP:
         raise BadParams("power_max needs an even integer k* in [2, 8]")
-    if amp <= 0:
-        raise BadParams("power_max amplitude must be positive")
-    return _split_power(x0, k, -amp, -amp, ("increasing", "decreasing"))
+    return _split_power("power_max", amp, x0, k, -amp, -amp,
+                        ("increasing", "decreasing"))
 
 
 def _t_power_well(x0, nu, amp=1.0):
@@ -475,12 +482,11 @@ def _t_power_well(x0, nu, amp=1.0):
     n = int(nu)
     if n != nu or n < 1 or n + 1 > DEGREE_CAP:
         raise BadParams("power_well needs an integer nu in [1, 7]")
-    if amp <= 0:
-        raise BadParams("power_well amplitude must be positive")
     p = n + 1
     c = float(amp) / p
     # left piece: c (x0 - x)^p = c (-1)^p (x - x0)^p
-    return _split_power(x0, p, c * (-1.0) ** p, c, ("decreasing", "increasing"))
+    return _split_power("power_well", amp, x0, p, c * (-1.0) ** p, c,
+                        ("decreasing", "increasing"))
 
 
 _BUMP = (0.0, 0.0, 1.0, -2.0, 1.0)  # u^2 (1-u)^2

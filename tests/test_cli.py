@@ -4,9 +4,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from adveig.cli import main
+from adveig import predictor
+from adveig.cli import build_parser, main
+from adveig.profile import builtin, spec_to_dict
 from conftest import run_fresh
 
 SCHEMA_CLASSIFY = {
@@ -562,3 +565,65 @@ def test_inputs_convert_in_command_line_order(capsys):
                         ((*bad_c, *bad_bc), "not a number: 'z'")):
         code, _, err = run_cli(capsys, "predict", "--template", "vee:0.5", *argv)
         assert code == 2 and err.startswith(f"MalformedSpec: {first}"), err
+
+
+def test_report_short_ladder_exit_2_before_any_solve_or_file(capsys, monkeypatch,
+                                                            tmp_path):
+    _no_solve(monkeypatch)
+    monkeypatch.setattr(predictor, "predict_limit", None)
+    outdir = tmp_path / "report"
+    code, out, err = run_cli(capsys, "report", "--template", "power_max:0.5,2",
+                             "--c", "zero", "--bc", "robin:1,0,1,0",
+                             "--ladder", "50,100", "--outdir", str(outdir))
+    assert (code, out) == (2, "")
+    assert err == "InsufficientData: report needs a ladder of at least 3 entries\n"
+    assert not outdir.exists()
+
+
+def _parsed(*argv):
+    return build_parser().parse_args(["sweep", *SWEEP_VEE, *argv])
+
+
+def test_ladder_ranges_match_numpy():
+    assert _parsed("--ladder", "25:400:5:log").ladder == list(np.geomspace(25, 400, 5))
+    assert _parsed("--ladder", "25:400:5").ladder == list(np.geomspace(25, 400, 5))
+    assert _parsed("--ladder", "10:40:4:lin").ladder == list(np.linspace(10, 40, 4))
+
+
+def test_empty_mass_intervals_mean_none(capsys):
+    assert _parsed("--ladder", "10,20", "--mass-intervals", "").mass_intervals == ()
+    code, out, _ = run_cli(capsys, "sweep", *SWEEP_VEE, "--ladder", "10,20",
+                           "--mass-intervals", "")
+    assert code == 0 and out.splitlines()[0] == "s,n,lambda,wall_time"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("sweep", *SWEEP_VEE, "--ladder", "10:20"),
+     "--ladder needs start:stop:count[:log|lin]"),
+    (("sweep", *SWEEP_VEE, "--ladder", "20:10:3"),
+     "ladder must be ascending with positive start"),
+    (("sweep", *SWEEP_VEE, "--ladder", "10:20:3:cubic"),
+     "ladder mode must be log or lin"),
+    (("predict", "--template", "vee:0.5", "--bc", "dirichlet"),
+     "cannot parse boundary condition 'dirichlet'"),
+    (("predict", "--template", "vee:0.5", "--bc", "robin:1,0,1,0", "--c", "cubic:1"),
+     "cannot parse potential 'cubic:1' (use zero | const:v | poly:c0,c1,... | FILE)"),
+    (("classify",), "need --template NAME[:p1,p2,...] or --profile FILE"),
+    (("predict", "--bc", "robin:1,0,1,0"),
+     "need --template NAME[:p1,p2,...] or --profile FILE"),
+], ids=["ladder_two_fields", "ladder_descending", "ladder_mode", "bc_text",
+        "c_text", "classify_no_source", "predict_no_source"])
+def test_converter_refusals_exit_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"MalformedSpec: {message}\n")
+
+
+def test_potential_file_may_hold_a_whole_profile_document(capsys, tmp_path):
+    doc = spec_to_dict(builtin("vee", 0.5))
+    doc["potential"] = {"knots": [0.0, 1.0], "segments": [[0.5, -1.5, 3.0]]}
+    path = tmp_path / "whole.json"
+    path.write_text(json.dumps(doc))
+    predict = ("predict", "--template", "power_max:0.5,2", "--bc", "robin:1,0.7,1,0")
+    from_file = run_cli(capsys, *predict, "--c", str(path))
+    assert from_file[0] == 0
+    assert from_file == run_cli(capsys, *predict, "--c", "poly:0.5,-1.5,3")

@@ -217,6 +217,18 @@ def test_estimate_limit_needs_three_records():
         estimate_limit([rec(10, 1.0), rec(20, 1.0)])
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: sweep(build_profile(builtin("vee", 0.5)), C0, RobinBC.neumann(), []),
+     "empty s ladder"),
+    (lambda: estimate_limit([rec(10, 1.0), rec(20, 1.0)]),
+     f"need at least {lab.MIN_RECORDS} successful records"),
+], ids=["empty_ladder", "short_tail"])
+def test_refusals_pin_class_and_message(call, message):
+    with pytest.raises(InsufficientData) as err:
+        call()
+    assert (type(err.value), str(err.value)) == (InsufficientData, message)
+
+
 def test_growth_exponent():
     records = [rec(s, s ** 2) for s in (10.0, 20.0, 40.0, 80.0)]
     assert growth_exponent(records) == pytest.approx(2.0, abs=1e-6)

@@ -3,8 +3,8 @@ import pytest
 
 from adveig.errors import (AtSegmentJunction, BoundaryClassPresent,
                            NotAMaximum, NotPeriodic, PreconditionViolated)
-from adveig.maxset import (boundedness, decompose, decompose_periodic,
-                           degeneracy_order)
+from adveig.maxset import decompose, decompose_periodic, degeneracy_order
+from adveig.predictor import boundedness
 from adveig.profile import ProfileSpec, RobinBC, build_profile, builtin
 from conftest import reflect_spec, scale_spec
 

@@ -9,10 +9,10 @@ from scipy.optimize import brentq
 import adveig
 from adveig import predictor
 from adveig.errors import NoConvergence, NotPeriodic, PreconditionViolated
-from adveig.maxset import boundedness, decompose, decompose_periodic
+from adveig.maxset import decompose, decompose_periodic
 from adveig.predictor import (LimitTerm, _argmin_set, _closures, _gll_eigenvalue,
-                              _sub_eigenvalue, frak_L, periodic_prediction,
-                              predict_limit)
+                              _sub_eigenvalue, boundedness, frak_L,
+                              periodic_prediction, predict_limit)
 from adveig.profile import (PeriodicBC, Potential, ProfileSpec, RobinBC,
                             TEMPLATES, build_profile, builtin, _ramp_coeffs)
 from conftest import TEMPLATE_PARAMS

@@ -160,6 +160,45 @@ def test_power_template_specs_are_pinned():
         ("decreasing", "increasing"))
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: builtin("t1", 0.0, 0.3, 0.45, 0.6, 0.8), BadParams,
+     "breakpoints must lie strictly inside (0, 1)"),
+    (lambda: builtin("vee", 0.5, 0.0), BadParams,
+     "vee amplitude must be positive"),
+    (lambda: builtin("power_max", 0.5, 2, -1.0), BadParams,
+     "power_max amplitude must be positive"),
+    (lambda: builtin("power_well", 0.5, 1, 0.0), BadParams,
+     "power_well amplitude must be positive"),
+    (lambda: builtin("periodic_bump", 0.3, -2.0), BadParams,
+     "periodic_bump amplitude must be positive"),
+    (lambda: builtin("periodic_bump", 0.5), BadParams,
+     "periodic_bump needs 0 < x0 < 1/2"),
+    (lambda: ProfileSpec((0.0, 1.0), ((0.0, 1.0),), ()).validate_structure(),
+     MalformedSpec, "one declared sign per segment required"),
+    (lambda: profile_from_dict([0.0, 1.0]), MalformedSpec,
+     "profile document must be a JSON object"),
+    (lambda: profile_from_dict({"template": {"params": [0.5]}}), MalformedSpec,
+     "template block needs 'name' and 'params'"),
+], ids=["breakpoint", "vee_amp", "power_max_amp", "power_well_amp",
+        "periodic_bump_amp", "periodic_bump_x0", "sign_count", "json_not_object",
+        "json_template_name"])
+def test_refusals_pin_class_and_message(call, error, message):
+    with pytest.raises(ValidationError) as err:
+        call()
+    assert (type(err.value), str(err.value)) == (error, message)
+
+
+def test_underflowing_amplitude_is_refused_by_the_template():
+    # -2 amp x0 rounds to -0.0 here, so m' on [0, x0] would read increasing
+    with pytest.raises(BadParams) as err:
+        builtin("vee", 0.1023795977252221, 5e-324)
+    assert str(err.value) == ("vee amplitude 5e-324 is too small at "
+                              "x0 = 0.1023795977252221: a coefficient of m' "
+                              "on [0, x0] rounds to zero")
+    # at x0 = 0.3 only m(0) rounds to zero, and the profile builds
+    assert build_profile(builtin("vee", 0.3, 5e-324)).sign_signature == (-1, 1)
+
+
 def test_increasing_accepts_even_multiplicity_interior_zeros():
     # m'(t) = (t - 0.4)^2 (t - 0.9)^2: nonnegative, vanishing inside,
     # positive somewhere - a valid "increasing" segment
