@@ -13,8 +13,8 @@ from .lab import (GridPolicy, LimitProfile, RescaledProfile, SweepRecord,
                   rescaled_profile, segment_restriction_distance, sweep)
 from .maxset import (IsolatedMax, MaxSetDecomposition, SegmentMax, decompose,
                      decompose_periodic, degeneracy_order)
-from .predictor import (Boundedness, LimitPrediction, LimitTerm, boundedness,
-                        frak_L, periodic_prediction, predict_limit)
+from .predictor import (LimitPrediction, LimitTerm, frak_L, periodic_prediction,
+                        predict_limit)
 from .profile import (AdvectionProfile, PeriodicBC, Potential, ProfileSpec,
                       RobinBC, TEMPLATES, build_profile, builtin, profile_from_dict)
 from .spectral import EigenPair, SymTridiag, smallest_eig
@@ -22,12 +22,12 @@ from .spectral import EigenPair, SymTridiag, smallest_eig
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdvectionProfile", "Boundedness", "DiscreteOperator", "EigenPair",
+    "AdvectionProfile", "DiscreteOperator", "EigenPair",
     "GridPolicy", "IsolatedMax", "LimitPrediction", "LimitProfile",
     "LimitTerm", "MaxSetDecomposition", "PeriodicBC", "Potential",
     "ProfileSpec", "RescaledProfile", "RobinBC", "SegmentMax", "SubBC",
     "SweepRecord", "SymTridiag", "TEMPLATES", "assemble_periodic",
-    "assemble_subinterval", "assemble_transformed", "boundedness",
+    "assemble_subinterval", "assemble_transformed",
     "build_profile", "builtin", "component_mass_radius", "decompose",
     "decompose_periodic", "degeneracy_order", "eigenfunction_on_grid",
     "estimate_limit", "frak_L", "growth_exponent", "limit_ode_ground_state",

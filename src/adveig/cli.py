@@ -196,12 +196,12 @@ def _cmd_solve(args):
     profile, potential = _load_inputs(args)
     policy = lab.GridPolicy(args.grid_multiplier, args.grid_floor)
     n = args.n if args.n is not None else policy.n_for(profile, args.s)
-    record = lab._solve_one(profile, potential, args.bc, args.s, n)
-    if args.dump_eigenfunction:
-        x, w = record.grid
-        with _create(args.dump_eigenfunction) as fh:
+    with (_create(args.dump_eigenfunction) if args.dump_eigenfunction
+          else contextlib.nullcontext()) as fh:
+        record = lab._solve_one(profile, potential, args.bc, args.s, n)
+        if fh is not None:
             fh.write("x,w\n")
-            for xi, wi in zip(x, w):
+            for xi, wi in zip(*record.grid):
                 fh.write(f"{_fmt(xi)},{_fmt(wi)}\n")
     sys.stdout.write(_fmt(record.lam) + "\n")
     return 0
@@ -244,12 +244,12 @@ def _cmd_report(args):
                                f"{lab.MIN_RECORDS} entries")
     profile, potential = _load_inputs(args)
     decomp = predictor.decompose_under(profile, potential, args.bc)
-    pred = predictor.predict_limit(decomp, potential, args.bc)
     outdir = args.outdir or "."
-    try:
+    try:   # before the plateau solves of predict_limit
         os.makedirs(outdir, exist_ok=True)
     except OSError as exc:
         raise UnwritableOutput(f"cannot create {outdir}: {exc.strerror}") from None
+    pred = predictor.predict_limit(decomp, potential, args.bc)
 
     payload = {"prediction": _prediction_payload(pred)}
     records = _sweep_records(args, profile, potential)

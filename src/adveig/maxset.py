@@ -57,6 +57,7 @@ class SegmentMax:
 class MaxSetDecomposition:
     isolated: tuple
     segments: tuple
+    circle: bool = False           # made by decompose_periodic
 
     def components(self):
         """All components as (lo, hi) intervals (points degenerate)."""
@@ -162,7 +163,7 @@ def decompose_periodic(profile: AdvectionProfile) -> MaxSetDecomposition:
     interior = tuple(p for p in decomp.isolated if p.position == INTERIOR)
     if not interior and not decomp.segments:
         raise NotPeriodic("m has no local maximum on the circle")
-    return MaxSetDecomposition(interior, decomp.segments)
+    return MaxSetDecomposition(interior, decomp.segments, circle=True)
 
 
 def degeneracy_order(profile: AdvectionProfile, x0: float):

@@ -1,6 +1,7 @@
 """Predicted s -> infinity limit of the principal eigenvalue, with the
-boundary data's part in it (shielding, the boundedness trichotomy,
-plateau closures): the one module that applies RobinBC to the limit.
+boundary data's part in it (shielding, the trichotomy of unbounded
+limits, plateau closures): the one module that applies RobinBC to the
+limit.
 
 The finite limit is the minimum over one candidate term per component
 of the local-maximum set: c(x) at interior isolated maxima, c(0)/c(1)
@@ -9,6 +10,8 @@ inner-plateau sub-interval eigenvalues (the quantity frak_L), and
 Robin-closed sub-interval eigenvalues for plateaus touching a boundary,
 which inherit the global (hbar, ell) pair at that end through
 RobinBC.betas.  The solve below is the only solver of those plateaus.
+The limit is unbounded exactly when no term is left, and the ells then
+name the case of the trichotomy.
 
 Each sub-interval eigenvalue is a spectral-element solve with one
 Gauss-Lobatto-Legendre (GLL) element per piece of c, which converges
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence
+from .errors import NoConvergence, PreconditionViolated
 from .maxset import (LEFT_BOUNDARY, RIGHT_BOUNDARY, IsolatedMax,
                      MaxSetDecomposition, decompose, decompose_periodic)
 from .profile import PeriodicBC, Potential, RobinBC
@@ -181,33 +184,12 @@ SEGMENT_SUB_BC = {  # class -> (left closure, right closure); R inherits the
 }   # global Robin pair at the touching endpoint
 
 
-@dataclass(frozen=True)
-class Boundedness:
-    bounded: bool
-    case: str | None = None       # i-1 | i-2 | i-3 for unbounded verdicts
-
-
 def shielded(point: IsolatedMax, bc) -> bool:
     """A boundary maximum whose end has ell > 0: the boundary data
     penalize it, so it adds no c term to the limit.  Interior maxima
     (the only kind on the circle) are never shielded and never read bc."""
     return ((point.position == LEFT_BOUNDARY and bc.ell1 > 0)
             or (point.position == RIGHT_BOUNDARY and bc.ell2 > 0))
-
-
-def boundedness(decomp: MaxSetDecomposition, bc) -> Boundedness:
-    """Boundedness trichotomy of the s -> infinity limit.
-
-    Unbounded exactly when there is no plateau and every isolated
-    maximum is shielded: (i-1) both ells positive and M = M1 subset
-    {0,1}; (i-2) ell1 > 0 = ell2 and M = {0}; (i-3) ell1 = 0 < ell2 and
-    M = {1}.
-    """
-    if decomp.segments or not all(shielded(p, bc) for p in decomp.isolated):
-        return Boundedness(True)
-    if bc.ell1 > 0 and bc.ell2 > 0:
-        return Boundedness(False, "i-1")
-    return Boundedness(False, "i-2" if bc.ell1 > 0 else "i-3")
 
 
 def _closures(kinds, bc):
@@ -253,14 +235,24 @@ def predict_limit(decomp: MaxSetDecomposition, c: Potential,
                   bc: RobinBC | PeriodicBC) -> LimitPrediction:
     """Limit prediction, or the unbounded verdict.  The terms are c at
     each isolated maximum that bc does not shield, then one per plateau;
-    bc is only read at boundary maxima and boundary plateaus.  A bounded
-    verdict always leaves a term."""
-    verdict = boundedness(decomp, bc)
-    if not verdict.bounded:
-        return LimitPrediction(False, None, case=verdict.case)
+    bc is only read at boundary maxima and boundary plateaus.  With no
+    term left the limit is unbounded: (i-1) both ells positive, (i-2)
+    ell1 > 0 = ell2, (i-3) ell1 = 0 < ell2.
+
+    decomp must come from decompose_periodic exactly when bc is
+    PeriodicBC (PreconditionViolated otherwise)."""
+    if decomp.circle != isinstance(bc, PeriodicBC):
+        raise PreconditionViolated(
+            f"a {'circle' if decomp.circle else '[0, 1]'} decomposition with "
+            f"{type(bc).__name__}: decompose_periodic pairs with PeriodicBC, "
+            "decompose with RobinBC")
     terms = tuple([LimitTerm("c_at_point", float(c(p.x)), p)
                    for p in decomp.isolated if not shielded(p, bc)]
                   + [_segment_term(seg, c, bc) for seg in decomp.segments])
+    if not terms:      # every maximum is a shielded boundary point
+        case = ("i-1" if bc.ell1 > 0 and bc.ell2 > 0
+                else "i-2" if bc.ell1 > 0 else "i-3")
+        return LimitPrediction(False, None, case=case)
     argmin, best = _argmin_set(terms)
     return LimitPrediction(True, best, terms, argmin)
 

@@ -520,7 +520,8 @@ def test_unwritable_sweep_out_exit_2_before_any_solve(capsys, monkeypatch, tmp_p
     assert err.startswith(f"UnwritableOutput: cannot write {path}: ")
 
 
-def test_unwritable_dump_eigenfunction_exit_2(capsys, tmp_path):
+def test_unwritable_dump_eigenfunction_exit_2(capsys, monkeypatch, tmp_path):
+    _no_solve(monkeypatch)
     path = tmp_path / "missing" / "w.csv"
     code, out, err = run_cli(capsys, "solve", "--template", "vee:0.5",
                              "--bc", "robin:0,1,0,1", "--s", "10",
@@ -529,13 +530,22 @@ def test_unwritable_dump_eigenfunction_exit_2(capsys, tmp_path):
     assert err.startswith(f"UnwritableOutput: cannot write {path}: ")
 
 
-def test_report_outdir_that_is_a_file_exit_2(capsys, tmp_path):
+def test_report_outdir_that_is_a_file_exit_2(capsys, monkeypatch, tmp_path):
+    _no_solve(monkeypatch)
+
+    def unreachable(*args):
+        raise AssertionError("a plateau was solved")
+
+    monkeypatch.setattr(predictor, "_sub_eigenvalue", unreachable)
     path = tmp_path / "taken"
     path.write_text("")
-    code, out, err = run_cli(capsys, "report", *SWEEP_VEE, "--ladder", "10,20,40",
-                             "--outdir", str(path))
-    assert (code, out) == (2, "")
-    assert err.startswith(f"UnwritableOutput: cannot create {path}: ")
+    # t2 has three plateaus, so the prediction would solve three of them
+    for inputs in (SWEEP_VEE, ("--template", "t2:0.1,0.25,0.3,0.45,0.6,0.8",
+                               "--c", "zero", "--bc", "robin:1,0,1,0")):
+        code, out, err = run_cli(capsys, "report", *inputs, "--ladder", "10,20,40",
+                                 "--outdir", str(path))
+        assert (code, out) == (2, ""), inputs
+        assert err.startswith(f"UnwritableOutput: cannot create {path}: "), inputs
 
 
 def test_empty_list_fields_are_malformed(capsys):

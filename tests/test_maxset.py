@@ -4,8 +4,8 @@ import pytest
 from adveig.errors import (AtSegmentJunction, BoundaryClassPresent,
                            NotAMaximum, NotPeriodic, PreconditionViolated)
 from adveig.maxset import decompose, decompose_periodic, degeneracy_order
-from adveig.predictor import boundedness
-from adveig.profile import ProfileSpec, RobinBC, build_profile, builtin
+from adveig.predictor import predict_limit
+from adveig.profile import Potential, ProfileSpec, RobinBC, build_profile, builtin
 from conftest import reflect_spec, scale_spec
 
 T1 = (0.15, 0.3, 0.45, 0.6, 0.8)
@@ -96,19 +96,23 @@ def test_boundary_kstar():
 
 
 def test_boundedness_trichotomy():
+    def verdict(decomp, bc):
+        pred = predict_limit(decomp, Potential.zero(), bc)
+        return pred.finite, pred.case
+
     vee = decompose(build_profile(builtin("vee", 0.5)))
-    assert boundedness(vee, RobinBC(1, 1, 1, 1)).case == "i-1"
+    assert verdict(vee, RobinBC(1, 1, 1, 1)) == (False, "i-1")
     mono = decompose(build_profile(builtin("monotone_increasing")))
-    assert boundedness(mono, RobinBC(1, 0, 1, 1)).case == "i-3"
+    assert verdict(mono, RobinBC(1, 0, 1, 1)) == (False, "i-3")
     dec = decompose(build_profile(
         ProfileSpec((0.0, 1.0), ((1.0, -1.0),), ("decreasing",))))
-    assert boundedness(dec, RobinBC(1, 1, 1, 0)).case == "i-2"
+    assert verdict(dec, RobinBC(1, 1, 1, 0)) == (False, "i-2")
     # mixed cases stay bounded
-    assert boundedness(vee, RobinBC(1, 1, 1, 0)).bounded      # c(1) term
-    assert boundedness(mono, RobinBC(1, 1, 1, 0)).bounded     # c(1) term
+    assert verdict(vee, RobinBC(1, 1, 1, 0)) == (True, None)      # c(1) term
+    assert verdict(mono, RobinBC(1, 1, 1, 0)) == (True, None)     # c(1) term
     t1 = decompose(build_profile(builtin("t1", *T1)))
     for bc in (RobinBC(1, 1, 1, 1), RobinBC.neumann(), RobinBC.dirichlet()):
-        assert boundedness(t1, bc).bounded
+        assert verdict(t1, bc) == (True, None)
 
 
 def test_decompose_affine_invariance():

@@ -8,10 +8,10 @@ from scipy.optimize import brentq
 
 import adveig
 from adveig import predictor
-from adveig.errors import NoConvergence, NotPeriodic, PreconditionViolated
+from adveig.errors import AdveigError, NoConvergence, NotPeriodic, PreconditionViolated
 from adveig.maxset import decompose, decompose_periodic
 from adveig.predictor import (LimitTerm, _argmin_set, _closures, _gll_eigenvalue,
-                              _sub_eigenvalue, boundedness, frak_L,
+                              _sub_eigenvalue, frak_L,
                               periodic_prediction, predict_limit)
 from adveig.profile import (PeriodicBC, Potential, ProfileSpec, RobinBC,
                             TEMPLATES, build_profile, builtin, _ramp_coeffs)
@@ -210,11 +210,68 @@ def test_prediction_and_trichotomy_agree(bc):
     for name, (params, maxima) in TEMPLATE_MAXIMA.items():
         decomp = decompose(build_profile(builtin(name, *params)))
         pred = predict_limit(decomp, c, bc)
-        verdict = boundedness(decomp, bc)
-        assert pred.finite == verdict.bounded, name
-        assert pred.case == verdict.case == _paper_case(maxima, bc), name
+        case = _paper_case(maxima, bc)
+        assert (pred.finite, pred.case) == (case is None, case), name
+        assert bool(pred.terms) == pred.finite, name
         if pred.finite:
-            assert len(pred.terms) >= 1 and pred.argmin, name
+            assert pred.argmin, name
+
+
+# the limit for c = 1 - x/2 under PAIRING_BCS: decompose for the four
+# Robin data, decompose_periodic for PeriodicBC (None where it refuses the
+# profile); a string is the case of an unbounded verdict
+PAIRING_BCS = (RobinBC.neumann(), RobinBC.dirichlet(), RobinBC(1, 1, 1, 0),
+               RobinBC(1, 0, 1, 1), PeriodicBC())
+PAIRED_LIMITS = {
+    "example1": (0.5, 0.749996666667, 0.5, 0.749996666667, None),
+    "example2": (0.5, 62.4350204843, 0.5, 1.0, None),
+    "example3": (0.5, 40.2662458554, 0.5, 40.2662458554, None),
+    "t1": (0.5, 0.737498945313, 0.5, 0.737498945313, None),
+    "t2": (0.537498945313, 0.95, 0.537498945313, 0.95, None),
+    "monotone_increasing": (0.5, "i-1", 0.5, "i-3", None),
+    "vee": (0.5, "i-1", 0.5, 1.0, None),
+    "power_max": (0.75, 0.75, 0.75, 0.75, 0.75),
+    "power_well": (0.5, "i-1", 0.5, 1.0, None),
+    "periodic_bump": (0.5, 0.875, 0.5, 0.875, 0.875),
+    # on the circle the maximum at 1 is gone, so the Neumann c(1) = 0.5
+    # term exists only for the decomposition on [0, 1]
+    "periodic_bump:0.3": (0.5, 0.85, 0.5, 0.85, 0.85),
+}
+
+
+@pytest.mark.parametrize("template", list(PAIRED_LIMITS))
+def test_decomposition_pairs_with_its_boundary_type(template, monkeypatch):
+    """A decomposition and a boundary condition of the same domain give
+    the limit; one of the other domain is PreconditionViolated before
+    any plateau solve, never an AttributeError or a value."""
+    assert set(TEMPLATE_PARAMS) <= set(PAIRED_LIMITS)
+    name, _, params = template.partition(":")
+    prof = build_profile(builtin(name, *(map(float, params.split(",")) if params
+                                        else TEMPLATE_PARAMS[name])))
+    c = Potential.from_coeffs([1.0, -0.5])
+    line = decompose(prof)
+    try:
+        circle = decompose_periodic(prof)
+    except AdveigError:
+        circle = None
+    assert (circle is None) == (PAIRED_LIMITS[template][-1] is None)
+
+    def unreachable(*args):
+        raise AssertionError("a plateau was solved")
+
+    for bc, expected in zip(PAIRING_BCS, PAIRED_LIMITS[template]):
+        matched, other = (circle, line) if isinstance(bc, PeriodicBC) else (line, circle)
+        if matched is not None:
+            pred = predict_limit(matched, c, bc)
+            if isinstance(expected, str):
+                assert (pred.finite, pred.case) == (False, expected), bc
+            else:
+                assert pred.finite and pred.value == pytest.approx(expected, rel=1e-11), bc
+        if other is not None:
+            with monkeypatch.context() as patch:
+                patch.setattr(predictor, "_sub_eigenvalue", unreachable)
+                with pytest.raises(PreconditionViolated):
+                    predict_limit(other, c, bc)
 
 
 def test_periodic_preconditions():
