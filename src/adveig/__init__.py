@@ -12,9 +12,8 @@ from .lab import (GridPolicy, LimitProfile, RescaledProfile, SweepRecord,
                   limit_ode_ground_state, mass_distribution, profile_distance,
                   rescaled_profile, segment_restriction_distance, sweep)
 from .maxset import (IsolatedMax, MaxSetDecomposition, SegmentMax, decompose,
-                     decompose_periodic, degeneracy_order)
-from .predictor import (LimitPrediction, LimitTerm, frak_L, periodic_prediction,
-                        predict_limit)
+                     decompose_periodic)
+from .predictor import LimitPrediction, LimitTerm, periodic_prediction, predict_limit
 from .profile import (AdvectionProfile, PeriodicBC, Potential, ProfileSpec,
                       RobinBC, TEMPLATES, build_profile, builtin, profile_from_dict)
 from .spectral import EigenPair, SymTridiag, smallest_eig
@@ -29,8 +28,8 @@ __all__ = [
     "SweepRecord", "SymTridiag", "TEMPLATES", "assemble_periodic",
     "assemble_subinterval", "assemble_transformed",
     "build_profile", "builtin", "component_mass_radius", "decompose",
-    "decompose_periodic", "degeneracy_order", "eigenfunction_on_grid",
-    "estimate_limit", "frak_L", "growth_exponent", "limit_ode_ground_state",
+    "decompose_periodic", "eigenfunction_on_grid",
+    "estimate_limit", "growth_exponent", "limit_ode_ground_state",
     "mass_distribution", "periodic_prediction",
     "predict_limit", "principal_eigen", "profile_distance",
     "profile_from_dict", "rescaled_profile", "segment_restriction_distance",

@@ -25,7 +25,8 @@ overflow nor warn.
 
 Grids are vertex-centered.  Each end's closure is beta or None, read
 from RobinBC.betas for the full problem and from SubBC (N or D) for a
-sub-interval.  A kept end (beta = ell/hbar, 0 for Neumann) keeps its
+sub-interval.  A plateau [a, b] of m inherits N where m falls away from
+it and D where m rises away from it (the predictor's flank rule).  A kept end (beta = ell/hbar, 0 for Neumann) keeps its
 node with a half cell, the closure phi' = +-beta phi adding 2 beta/h to
 its diagonal, and is symmetrized by scaling that unknown by sqrt(2)
 (eigenvalues unchanged, eigenvector entries scale back).  A Dirichlet
@@ -64,14 +65,6 @@ class SubBC:
     def __post_init__(self):
         if self.kind not in ("N", "D"):
             raise ValidationError(f"unknown sub-boundary kind {self.kind!r}")
-
-    @staticmethod
-    def N():
-        return SubBC("N")
-
-    @staticmethod
-    def D():
-        return SubBC("D")
 
     def beta(self):
         """0 for a Neumann end, None for a dropped Dirichlet end."""

@@ -50,12 +50,6 @@ class SignMismatch(ValidationError):
         self.verified = verified
 
 
-# -- maxset ------------------------------------------------------------
-
-class AtSegmentJunction(ValidationError): pass
-class NotAMaximum(ValidationError): pass
-
-
 # -- spectral ----------------------------------------------------------
 
 class NonFinite(NumericalError): pass

@@ -3,8 +3,8 @@
 Classification is purely symbolic over the verified segment signs, so
 it cannot flicker with grid choices: adjacent segments of equal sign
 are merged into runs, isolated maxima sit at +/- run junctions (and at
-a boundary approached the right way), and each constancy plateau is
-classified by the signs of its flanks:
+a boundary approached the right way), and each constancy plateau
+carries the signs of m' on its flanks, from which its class is read:
 
     M2 [aI,bI]  inner plateau, increasing on both flanks
     M3 [aI,bD]  inner plateau, true maximum (increasing in, decreasing out)
@@ -23,15 +23,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (AtSegmentJunction, BoundaryClassPresent, NotAMaximum,
-                     NotPeriodic, PreconditionViolated)
+from .errors import BoundaryClassPresent, NotPeriodic, PreconditionViolated
 from .profile import AdvectionProfile, DEGREE_CAP
 
 INTERIOR = "interior"
 LEFT_BOUNDARY = "left_boundary"
 RIGHT_BOUNDARY = "right_boundary"
 
-# plateau class from (left flank sign, right flank sign); 0 marks a boundary
+# plateau class from (left flank sign, right flank sign); None marks a boundary
 _PLATEAU_CLASS = {
     (1, 1): "M2", (1, -1): "M3", (-1, 1): "M4", (-1, -1): "M5",
     (None, 1): "M6", (None, -1): "M7", (1, None): "M8", (-1, None): "M9",
@@ -50,7 +49,12 @@ class IsolatedMax:
 class SegmentMax:
     a: float
     b: float
-    cls: str                       # M2..M9
+    flanks: tuple                  # sign of m' left of a, right of b; None at 0 or 1
+
+    @property
+    def cls(self):
+        """The class label M2..M9 that the flanks give."""
+        return _PLATEAU_CLASS[self.flanks]
 
 
 @dataclass(frozen=True)
@@ -136,8 +140,7 @@ def decompose(profile: AdvectionProfile) -> MaxSetDecomposition:
         if sign == 0:
             left = runs[i - 1][0] if i > 0 else None
             right = runs[i + 1][0] if i + 1 < len(runs) else None
-            segments.append(SegmentMax(knots[lo], knots[hi],
-                                       _PLATEAU_CLASS[(left, right)]))
+            segments.append(SegmentMax(knots[lo], knots[hi], (left, right)))
         elif sign == 1 and i + 1 < len(runs) and runs[i + 1][0] == -1:
             k, mk = _kstar_at(profile, hi, INTERIOR)
             isolated.append(IsolatedMax(knots[hi], INTERIOR, k, mk))
@@ -151,13 +154,14 @@ def decompose_periodic(profile: AdvectionProfile) -> MaxSetDecomposition:
 
     On the circle the wrap point 0 ~ 1 sits inside an increasing run, so
     the right-boundary maximum that the restricted-to-[0,1] reading
-    would report at 1 is dropped; boundary plateau classes cannot occur
-    and are rejected defensively.
+    would report at 1 is dropped.  m'(0) > 0 rules out a plateau at 0,
+    but a plateau reaching 1 (M8, M9) can occur and is refused: the
+    circle has no boundary for it to touch.
     """
     if profile.knot_values(0)[1] <= 0:
         raise PreconditionViolated("periodic decomposition requires m'(0) > 0")
     decomp = decompose(profile)
-    if any(s.cls in ("M6", "M7", "M8", "M9") for s in decomp.segments):
+    if any(None in s.flanks for s in decomp.segments):
         raise BoundaryClassPresent(
             "boundary plateau classes are not meaningful on the circle")
     interior = tuple(p for p in decomp.isolated if p.position == INTERIOR)
@@ -165,26 +169,3 @@ def decompose_periodic(profile: AdvectionProfile) -> MaxSetDecomposition:
         raise NotPeriodic("m has no local maximum on the circle")
     return MaxSetDecomposition(interior, decomp.segments, circle=True)
 
-
-def degeneracy_order(profile: AdvectionProfile, x0: float):
-    """(k*, m^(k*)(x0)) for an isolated maximum inside one polynomial piece.
-
-    Raises NotAMaximum if x0 is not an isolated local maximum of m, and
-    AtSegmentJunction if the one-sided derivative sequences disagree
-    before the first nonzero order (k* undefined there).
-    """
-    decomp = decompose(profile)
-    tol = 1e-12
-    match = [p for p in decomp.isolated if abs(p.x - x0) <= tol]
-    if not match:
-        raise NotAMaximum(f"{x0} is not an isolated local maximum")
-    point = match[0]
-    if point.k_star is not None:
-        return point.k_star, point.m_kstar
-    # distinguish "undefined because junction" from "m' != 0 at boundary"
-    knot = profile.knots.tolist().index(point.x)
-    if _sloped(profile, knot, point.position, _zero_tol(profile)):
-        raise AtSegmentJunction(
-            f"m'({x0}) != 0: degeneracy order starts at k >= 2")
-    raise AtSegmentJunction(
-        f"one-sided derivatives disagree at {x0}; k* undefined")

@@ -5,13 +5,14 @@ limit.
 
 The finite limit is the minimum over one candidate term per component
 of the local-maximum set: c(x) at interior isolated maxima, c(0)/c(1)
-at boundary isolated maxima only when the matching ell vanishes, the
-inner-plateau sub-interval eigenvalues (the quantity frak_L), and
-Robin-closed sub-interval eigenvalues for plateaus touching a boundary,
-which inherit the global (hbar, ell) pair at that end through
-RobinBC.betas.  The solve below is the only solver of those plateaus.
-The limit is unbounded exactly when no term is left, and the ells then
-name the case of the trichotomy.
+at boundary isolated maxima only when the matching ell vanishes, and a
+sub-interval eigenvalue of -phi'' + c phi on each plateau [a, b].  One
+rule on each flank closes a plateau end: Neumann (N) where m falls away
+from the plateau, Dirichlet (D) where m rises away from it, and at
+x = 0 or 1 the global (hbar, ell) pair of that end through RobinBC.betas
+(R).  The solve below is the only solver of those plateaus.  The limit
+is unbounded exactly when no term is left, and the ells then name the
+case of the trichotomy.
 
 Each sub-interval eigenvalue is a spectral-element solve with one
 Gauss-Lobatto-Legendre (GLL) element per piece of c, which converges
@@ -28,7 +29,6 @@ never imports scipy.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,12 +178,6 @@ def _sub_eigenvalue(c, a, b, betas):
     return fine, abs(fine - _gll_eigenvalue(c, a, b, betas, P_COARSE))
 
 
-SEGMENT_SUB_BC = {  # class -> (left closure, right closure); R inherits the
-    "M2": ("N", "D"), "M3": ("N", "N"), "M4": ("D", "D"), "M5": ("D", "N"),
-    "M6": ("R", "D"), "M7": ("R", "N"), "M8": ("N", "R"), "M9": ("D", "R"),
-}   # global Robin pair at the touching endpoint
-
-
 def shielded(point: IsolatedMax, bc) -> bool:
     """A boundary maximum whose end has ell > 0: the boundary data
     penalize it, so it adds no c term to the limit.  Interior maxima
@@ -192,27 +186,16 @@ def shielded(point: IsolatedMax, bc) -> bool:
             or (point.position == RIGHT_BOUNDARY and bc.ell2 > 0))
 
 
-def _closures(kinds, bc):
-    """beta or None for each closure kind of SEGMENT_SUB_BC: N is 0, D is
-    None, and R is bc's closure at that end."""
-    return tuple(bc.betas()[end] if kind == "R" else (0.0 if kind == "N" else None)
-                 for end, kind in enumerate(kinds))
-
-
 def _segment_term(seg, c, bc):
-    """Sub-interval eigenvalue term of a plateau, closed as SEGMENT_SUB_BC
-    says for its class."""
-    kinds = SEGMENT_SUB_BC[seg.cls]
-    lam, err = _sub_eigenvalue(c, seg.a, seg.b, _closures(kinds, bc))
+    """Sub-interval eigenvalue term of a plateau, each end closed by its
+    flank: R (bc's beta) at x = 0 or 1, D where m rises away from the
+    plateau (m' < 0 left of a, m' > 0 right of b), else N."""
+    kinds, betas = zip(*[("R", bc.betas()[end]) if flank is None
+                         else ("D", None) if flank == 2 * end - 1
+                         else ("N", 0.0)
+                         for end, flank in enumerate(seg.flanks)])
+    lam, err = _sub_eigenvalue(c, seg.a, seg.b, betas)
     return LimitTerm("".join(kinds), lam, seg, (seg.a, seg.b), err)
-
-
-def frak_L(decomp: MaxSetDecomposition, c: Potential) -> float:
-    """min over inner plateaus of their ND/NN/DD/DN eigenvalues; +inf
-    when M2..M5 are all empty."""
-    return min((_segment_term(seg, c, None).value
-                for seg in decomp.segments
-                if seg.cls in ("M2", "M3", "M4", "M5")), default=math.inf)
 
 
 def _argmin_set(terms):
@@ -269,7 +252,8 @@ def decompose_under(profile, c: Potential, bc: RobinBC | PeriodicBC):
 
 
 def periodic_prediction(profile, c: Potential) -> LimitPrediction:
-    """The periodic limit min{frak_L, min c over isolated maxima}: the
-    circle form of predict_limit, which has no boundary terms.  The
+    """The periodic limit, the minimum of the plateau eigenvalues and of c
+    at the isolated maxima: the circle form of predict_limit, which has
+    no boundary terms.  The
     checks and their order are decompose_under's."""
     return predict_limit(decompose_under(profile, c, PeriodicBC()), c, PeriodicBC())

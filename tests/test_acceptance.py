@@ -38,11 +38,11 @@ def check(num, ok, detail):
 def test_criterion_1_analytic_subinterval_oracles():
     t0 = time.perf_counter()
     dd = principal_eigen(assemble_subinterval(
-        C0, 0.0, 1.0, SubBC.D(), SubBC.D(), 2000)).lam
+        C0, 0.0, 1.0, SubBC("D"), SubBC("D"), 2000)).lam
     nd = principal_eigen(assemble_subinterval(
-        C0, 0.4, 0.6, SubBC.N(), SubBC.D(), 2000)).lam
+        C0, 0.4, 0.6, SubBC("N"), SubBC("D"), 2000)).lam
     nn = principal_eigen(assemble_subinterval(
-        C0, 0.25, 0.85, SubBC.N(), SubBC.N(), 2000)).lam
+        C0, 0.25, 0.85, SubBC("N"), SubBC("N"), 2000)).lam
     elapsed = time.perf_counter() - t0
     ok = (abs(dd - PI2) <= 1e-5 * PI2
           and abs(nd - (math.pi / 0.4) ** 2) <= 1e-5 * (math.pi / 0.4) ** 2
@@ -197,7 +197,7 @@ def test_criterion_8_plateau_eigenfunction():
     assert pred.terms[i].kind == "NN"               # unique plateau argmin
     records = sweep(prof, c, RobinBC.neumann(), [400.0], grid_policy=FINE)
     x, w = records[0].grid
-    op_sub = assemble_subinterval(c, x2, x3, SubBC.N(), SubBC.N(), 2000)
+    op_sub = assemble_subinterval(c, x2, x3, SubBC("N"), SubBC("N"), 2000)
     pair_sub = principal_eigen(op_sub)
     dist = segment_restriction_distance(x, w, op_sub, pair_sub)
     elapsed = time.perf_counter() - t0

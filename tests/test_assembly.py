@@ -31,17 +31,17 @@ def robin_lambda(c, bc, n):
 
 
 def test_analytic_subinterval_eigenvalues():
-    assert sub_lambda(C0, 0.0, 1.0, SubBC.D(), SubBC.D(), 2000) == \
+    assert sub_lambda(C0, 0.0, 1.0, SubBC("D"), SubBC("D"), 2000) == \
         pytest.approx(PI2, rel=1e-5)
-    assert sub_lambda(C0, 0.4, 0.6, SubBC.N(), SubBC.D(), 2000) == \
+    assert sub_lambda(C0, 0.4, 0.6, SubBC("N"), SubBC("D"), 2000) == \
         pytest.approx((math.pi / 0.4) ** 2, rel=1e-5)
-    assert abs(sub_lambda(C0, 0.25, 0.75, SubBC.N(), SubBC.N(), 2000)) <= 1e-10
+    assert abs(sub_lambda(C0, 0.25, 0.75, SubBC("N"), SubBC("N"), 2000)) <= 1e-10
 
 
 def test_robin_with_zero_ell_is_neumann():
     c = Potential.from_coeffs([1.0, 0.5])
     lam_r = robin_lambda(c, RobinBC(2.0, 0.0, 1.0, 0.0), 1200)
-    lam_n = sub_lambda(c, 0.0, 1.0, SubBC.N(), SubBC.N(), 1200)
+    lam_n = sub_lambda(c, 0.0, 1.0, SubBC("N"), SubBC("N"), 1200)
     assert lam_r == pytest.approx(lam_n, abs=1e-10)
 
 
@@ -96,13 +96,13 @@ def test_gauge_invariance_m_plus_beta():
 
 
 def test_grid_conventions():
-    op = assemble_subinterval(C0, 0.0, 1.0, SubBC.D(), SubBC.D(), 100)
+    op = assemble_subinterval(C0, 0.0, 1.0, SubBC("D"), SubBC("D"), 100)
     assert op.grid["h"] == pytest.approx(1.0 / 101)
     assert op.matrix.n == 100
-    op = assemble_subinterval(C0, 0.0, 1.0, SubBC.N(), SubBC.N(), 100)
+    op = assemble_subinterval(C0, 0.0, 1.0, SubBC("N"), SubBC("N"), 100)
     assert op.grid["h"] == pytest.approx(1.0 / 99)
     assert op.matrix.n == 100
-    op = assemble_subinterval(C0, 0.0, 1.0, SubBC.N(), SubBC.D(), 100)
+    op = assemble_subinterval(C0, 0.0, 1.0, SubBC("N"), SubBC("D"), 100)
     assert op.grid["h"] == pytest.approx(1.0 / 100)
 
 
@@ -132,8 +132,8 @@ def test_large_interior_drifts_neither_overflow_nor_lose_positivity():
 def test_zero_s_is_the_subinterval_operator():
     c = Potential.from_coeffs([1.0, -2.0, 3.0])
     prof = build_profile(builtin("t1", *T1))
-    for bc, left, right in ((RobinBC.neumann(), SubBC.N(), SubBC.N()),
-                            (RobinBC(0.0, 1.0, 2.0, 0.0), SubBC.D(), SubBC.N())):
+    for bc, left, right in ((RobinBC.neumann(), SubBC("N"), SubBC("N")),
+                            (RobinBC(0.0, 1.0, 2.0, 0.0), SubBC("D"), SubBC("N"))):
         full = assemble_transformed(prof, c, bc, 0.0, 500).matrix
         sub = assemble_subinterval(c, 0.0, 1.0, left, right, 500).matrix
         assert np.array_equal(full.diag, sub.diag)
@@ -250,7 +250,7 @@ def test_degenerate_cluster_gives_one_positive_vector():
 
 
 def test_dirichlet_eigenfunction_matches_sine():
-    op = assemble_subinterval(C0, 0.0, 1.0, SubBC.D(), SubBC.D(), 2000)
+    op = assemble_subinterval(C0, 0.0, 1.0, SubBC("D"), SubBC("D"), 2000)
     pair = principal_eigen(op)
     x, w = eigenfunction_on_grid(op, pair)
     assert np.max(np.abs(w - math.sqrt(2.0) * np.sin(np.pi * x))) <= 1e-3
@@ -258,7 +258,7 @@ def test_dirichlet_eigenfunction_matches_sine():
 
 
 def test_second_order_convergence():
-    errs = [abs(sub_lambda(C0, 0.0, 1.0, SubBC.D(), SubBC.D(), n) - PI2)
+    errs = [abs(sub_lambda(C0, 0.0, 1.0, SubBC("D"), SubBC("D"), n) - PI2)
             for n in (250, 500, 1000, 2000)]
     for e1, e2 in zip(errs, errs[1:]):
         assert 3.5 <= e1 / e2 <= 4.5
@@ -267,9 +267,9 @@ def test_second_order_convergence():
 def test_bc_monotonicity_chain():
     c = Potential.from_segments((0.0, 1.0), ((0.3, -1.0, 4.0),))
     for a, b in ((0.0, 1.0), (0.3, 0.55)):
-        nn = sub_lambda(c, a, b, SubBC.N(), SubBC.N(), 1000)
-        nd = sub_lambda(c, a, b, SubBC.N(), SubBC.D(), 1000)
-        dd = sub_lambda(c, a, b, SubBC.D(), SubBC.D(), 1000)
+        nn = sub_lambda(c, a, b, SubBC("N"), SubBC("N"), 1000)
+        nd = sub_lambda(c, a, b, SubBC("N"), SubBC("D"), 1000)
+        dd = sub_lambda(c, a, b, SubBC("D"), SubBC("D"), 1000)
         assert nn <= nd + 1e-12
         assert nd <= dd + 1e-12
 
@@ -295,7 +295,7 @@ def test_neumann_paper_bound_across_templates():
 
 def test_validation_errors():
     with pytest.raises(ValidationError):
-        assemble_subinterval(C0, 0.5, 0.2, SubBC.N(), SubBC.N(), 100)
+        assemble_subinterval(C0, 0.5, 0.2, SubBC("N"), SubBC("N"), 100)
     prof = build_profile(builtin("vee", 0.5))
     with pytest.raises(ValidationError):
         assemble_transformed(prof, C0, RobinBC.neumann(), -1.0, 100)

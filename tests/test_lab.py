@@ -481,7 +481,7 @@ def test_profile_distance():
 
 
 def test_segment_restriction_distance_identity():
-    op = assemble_subinterval(C0, 0.3, 0.7, SubBC.N(), SubBC.N(), 800)
+    op = assemble_subinterval(C0, 0.3, 0.7, SubBC("N"), SubBC("N"), 800)
     pair = principal_eigen(op)
     x = np.linspace(0.0, 1.0, 2001)
     w = np.ones_like(x)               # constant is the NN ground state

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from adveig.errors import (AtSegmentJunction, BoundaryClassPresent,
-                           NotAMaximum, NotPeriodic, PreconditionViolated)
-from adveig.maxset import decompose, decompose_periodic, degeneracy_order
+from adveig.errors import BoundaryClassPresent, NotPeriodic, PreconditionViolated
+from adveig.maxset import decompose, decompose_periodic
 from adveig.predictor import predict_limit
 from adveig.profile import Potential, ProfileSpec, RobinBC, build_profile, builtin
 from conftest import reflect_spec, scale_spec
@@ -56,23 +55,25 @@ def test_adjacent_same_sign_segments_merge():
     assert d.isolated == ()
 
 
-def test_degeneracy_order_power_max():
-    assert degeneracy_order(build_profile(builtin("power_max", 0.5, 4)), 0.5) \
-        == (4, pytest.approx(-24.0))
-    assert degeneracy_order(build_profile(builtin("power_max", 0.5, 2)), 0.5) \
-        == (2, pytest.approx(-2.0))
-    # off-center: the shifted-coefficient expansion still matches the
-    # one-sided derivative sequences within rounding
-    assert degeneracy_order(build_profile(builtin("power_max", 0.3, 4)), 0.3) \
-        == (4, pytest.approx(-24.0))
+def _isolated_at(prof, x0):
+    """The isolated maxima of decompose(prof) at x0."""
+    return [p for p in decompose(prof).isolated if abs(p.x - x0) <= 1e-12]
 
 
-def test_degeneracy_order_at_ramp_junction():
+def test_kstar_power_max():
+    for x0, k, m_kstar in ((0.5, 4, -24.0), (0.5, 2, -2.0),
+                           # off-center: the shifted-coefficient expansion still
+                           # matches the one-sided derivative sequences within rounding
+                           (0.3, 4, -24.0)):
+        (point,) = _isolated_at(build_profile(builtin("power_max", x0, k)), x0)
+        assert (point.k_star, point.m_kstar) == (k, pytest.approx(m_kstar))
+
+
+def test_kstar_at_ramp_junction():
     prof = build_profile(builtin("t1", *T1))
-    with pytest.raises(AtSegmentJunction):
-        degeneracy_order(prof, 0.15)      # one-sided third derivatives differ
-    with pytest.raises(NotAMaximum):
-        degeneracy_order(prof, 0.3)
+    (point,) = _isolated_at(prof, 0.15)
+    assert point.k_star is None           # one-sided third derivatives differ
+    assert _isolated_at(prof, 0.3) == []  # not a maximum
 
 
 def test_interior_kstar_is_even_negative():
@@ -150,11 +151,6 @@ def test_reflection_consistency(name, params):
     assert sorted(round(p.x, 12) for p in dr.isolated) == want_points
 
 
-# class -> (left flank sign, right flank sign), None at the boundary
-FLANKS = {"M2": (1, 1), "M3": (1, -1), "M4": (-1, 1), "M5": (-1, -1),
-          "M6": (None, 1), "M7": (None, -1), "M8": (1, None), "M9": (-1, None)}
-
-
 @pytest.mark.parametrize("name,params", [
     ("t1", T1), ("t2", T2), ("example2", (0.3, 0.7)), ("vee", (0.5,))])
 def test_components_disjoint_and_flanks_match(name, params):
@@ -164,7 +160,7 @@ def test_components_disjoint_and_flanks_match(name, params):
     for (a1, b1), (a2, b2) in zip(comps, comps[1:]):
         assert b1 < a2
     for seg in d.segments:
-        want_left, want_right = FLANKS[seg.cls]
+        want_left, want_right = seg.flanks
         if want_left is not None:
             assert prof.sign_signature[np.searchsorted(prof.knots, seg.a, "left") - 1] \
                 == want_left
@@ -197,3 +193,9 @@ def test_periodic_rejects_boundary_plateau():
     prof = build_profile(spec)
     with pytest.raises((BoundaryClassPresent, PreconditionViolated)):
         decompose_periodic(prof)
+    # m' = 3 (0.5 - x)^2 on [0, 0.5]: m'(0) > 0, so only the plateau [0.5, 1]
+    # (M8) stands in the way
+    spec = ProfileSpec((0.0, 0.5, 1.0), ((0.0, 0.75, -1.5, 1.0), (0.125,)),
+                       ("increasing", "constant"))
+    with pytest.raises(BoundaryClassPresent):
+        decompose_periodic(build_profile(spec))

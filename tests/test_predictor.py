@@ -10,35 +10,43 @@ import adveig
 from adveig import predictor
 from adveig.errors import AdveigError, NoConvergence, NotPeriodic, PreconditionViolated
 from adveig.maxset import decompose, decompose_periodic
-from adveig.predictor import (LimitTerm, _argmin_set, _closures, _gll_eigenvalue,
-                              _sub_eigenvalue, frak_L,
-                              periodic_prediction, predict_limit)
+from adveig.predictor import (LimitTerm, _argmin_set, _gll_eigenvalue,
+                              _sub_eigenvalue, periodic_prediction, predict_limit)
 from adveig.profile import (PeriodicBC, Potential, ProfileSpec, RobinBC,
-                            TEMPLATES, build_profile, builtin, _ramp_coeffs)
-from conftest import TEMPLATE_PARAMS
+                            TEMPLATES, build_profile, builtin, _ramp_chain,
+                            _ramp_coeffs)
+from conftest import TEMPLATE_PARAMS, reflect_spec
 
 C0 = Potential.zero()
 CX = Potential.from_coeffs([0.0, 1.0])
 
 
-def test_frak_L_analytic_values():
+def _inner_plateau_min(prof, c):
+    """min over predict_limit's inner-plateau (M2..M5) terms; +inf when
+    there is none."""
+    pred = predict_limit(decompose(prof), c, RobinBC.neumann())
+    return min((t.value for t in pred.terms if t.kind in ("ND", "NN", "DD", "DN")),
+               default=math.inf)
+
+
+def test_inner_plateau_terms_analytic_values():
     # M4 plateau [0.2,0.4] -> DD = (pi/0.2)^2, M2 plateau [0.5,0.7] ->
-    # ND = (pi/0.4)^2; the boundary M8 plateau is not part of frak_L
+    # ND = (pi/0.4)^2; the boundary M8 plateau is not an inner plateau
     prof = build_profile(builtin("t2", 0.1, 0.2, 0.4, 0.5, 0.7, 0.9))
-    val = frak_L(decompose(prof), C0)
+    val = _inner_plateau_min(prof, C0)
     assert val == pytest.approx((math.pi / 0.4) ** 2, rel=1e-4)
     assert val < (math.pi / 0.2) ** 2
 
 
-def test_frak_L_empty_plateaus_is_infinite():
+def test_no_inner_plateau_gives_no_plateau_term():
     prof = build_profile(builtin("monotone_increasing"))
-    assert frak_L(decompose(prof), C0) == math.inf
+    assert _inner_plateau_min(prof, C0) == math.inf
 
 
-def test_frak_L_shift_property():
+def test_inner_plateau_terms_shift_property():
     prof = build_profile(builtin("example3", 0.35, 0.6))
-    base = frak_L(decompose(prof), C0)
-    shifted = frak_L(decompose(prof), Potential.constant(2.5))
+    base = _inner_plateau_min(prof, C0)
+    shifted = _inner_plateau_min(prof, Potential.constant(2.5))
     assert shifted == pytest.approx(base + 2.5, abs=1e-9)
 
 
@@ -220,6 +228,51 @@ def test_prediction_and_trichotomy_agree(bc):
 # the limit for c = 1 - x/2 under PAIRING_BCS: decompose for the four
 # Robin data, decompose_periodic for PeriodicBC (None where it refuses the
 # profile); a string is the case of an unbounded verdict
+# each plateau's closures, left to right: N where m falls away from the
+# plateau, D where it rises away, R at x = 0 or 1.  With their mirror
+# images these profiles hold all eight plateau classes M2..M9.
+FLANK_SPECS = {name: (builtin(name, *params), kinds) for name, params, kinds in (
+    ("example1", TEMPLATE_PARAMS["example1"], ["NN"]),              # M3
+    ("example2", TEMPLATE_PARAMS["example2"], ["DD"]),              # M4
+    ("example3", TEMPLATE_PARAMS["example3"], ["ND"]),              # M2 (M5)
+    ("t1", TEMPLATE_PARAMS["t1"], ["NN"]),                          # M3
+    ("t2", TEMPLATE_PARAMS["t2"], ["DD", "ND", "NR"]),              # M4 M2 M8 (M7)
+    ("monotone_increasing", (), []), ("vee", (0.5,), []),
+    ("power_max", (0.5, 2), []), ("power_well", (0.5, 2), []))}
+FLANK_SPECS["m6"] = (_ramp_chain((0.0, 0.3, 0.6, 1.0), (0.2, 0.2, 0.5, 0.1)),
+                     ["RD"])                                        # M6 (M9)
+FLANK_BCS = (RobinBC.neumann(), RobinBC.dirichlet(), RobinBC(1.0, 0.7, 0.5, 1.5),
+             RobinBC(0.0, 1.0, 1.0, 0.0), RobinBC(2.0, 0.0, 1.0, 3.0))
+
+
+@pytest.mark.parametrize("bc", FLANK_BCS, ids=lambda bc: ",".join(
+    f"{v:g}" for v in (bc.hbar1, bc.ell1, bc.hbar2, bc.ell2)))
+@pytest.mark.parametrize("name", list(FLANK_SPECS))
+def test_flank_rule_commutes_with_reflection(name, bc):
+    """m(1 - x) with c(1 - x) and mirrored boundary data has the same
+    limit, and each plateau's closures come out reversed (ND <-> DN,
+    RD <-> DR, RN <-> NR).  Each plateau term is the eigenvalue under
+    the closures its kind names."""
+    assert set(TEMPLATE_PARAMS) - set(FLANK_SPECS) == {"periodic_bump"}
+    spec, kinds = FLANK_SPECS[name]
+    c = Potential.from_coeffs([0.3, 1.0])
+    pred = predict_limit(decompose(build_profile(spec)), c, bc)
+    plateaus = [t for t in pred.terms if t.interval is not None]
+    assert [t.kind for t in plateaus] == kinds
+    for t in plateaus:
+        assert t.value == _sub_eigenvalue(c, *t.interval, _betas(t.kind, bc))[0]
+    mirror = predict_limit(decompose(build_profile(reflect_spec(spec))),
+                           Potential.from_coeffs([1.3, -1.0]),
+                           RobinBC(bc.hbar2, bc.ell2, bc.hbar1, bc.ell1))
+    assert [t.kind for t in mirror.terms if t.interval is not None] == \
+        [k[::-1] for k in reversed(kinds)]
+    assert pred.finite == mirror.finite
+    if pred.finite:
+        assert mirror.value == pytest.approx(pred.value, rel=1e-9, abs=0.0)
+    else:
+        assert mirror.case == {"i-1": "i-1", "i-2": "i-3", "i-3": "i-2"}[pred.case]
+
+
 PAIRING_BCS = (RobinBC.neumann(), RobinBC.dirichlet(), RobinBC(1, 1, 1, 0),
                RobinBC(1, 0, 1, 1), PeriodicBC())
 PAIRED_LIMITS = {
@@ -383,10 +436,17 @@ CLOSED_FORMS = {
 }
 
 
+def _betas(kinds, bc):
+    """beta or None at each end for closure letters: N is 0, D is None
+    and R is bc's closure at that end."""
+    return tuple(bc.betas()[end] if kind == "R" else {"N": 0.0, "D": None}[kind]
+                 for end, kind in enumerate(kinds))
+
+
 @pytest.mark.parametrize("case", list(CLOSED_FORMS))
 def test_sub_eigenvalue_closed_forms(case):
     c, a, b, bc, exact = CLOSED_FORMS[case]
-    value, estimate = _sub_eigenvalue(c, a, b, _closures(case[:2], bc))
+    value, estimate = _sub_eigenvalue(c, a, b, _betas(case[:2], bc))
     assert value == pytest.approx(exact, rel=1e-12, abs=0.0)
     assert estimate <= 1e-10
 
@@ -407,7 +467,7 @@ def test_sub_eigenvalue_error_estimate_covers_a_steep_potential(kinds):
     """c = 1e4 x^2 confines the eigenfunction to a 0.1-wide layer that one
     degree-16 element does not resolve; the error estimate says so."""
     c = Potential.from_coeffs([0.0, 0.0, 1e4])
-    betas = _closures(kinds, RobinBC(1.0, 2.0, 0.0, 1.0))
+    betas = _betas(kinds, RobinBC(1.0, 2.0, 0.0, 1.0))
     value, estimate = _sub_eigenvalue(c, 0.0, 1.0, betas)
     reference = _gll_eigenvalue(c, 0.0, 1.0, betas, 24)
     assert abs(value - reference) <= 4.0 * estimate
