@@ -80,6 +80,21 @@ class DiscreteOperator:
     scales: tuple = (1.0, 1.0)      # sqrt(2) desymmetrization at kept ends
 
 
+def below_cap(n):
+    """n if it is at most MAX_NODES, else ValidationError."""
+    if n > MAX_NODES:
+        raise ValidationError(f"grid too large (n = {n} > {MAX_NODES})")
+    return n
+
+
+def transformed_size(n):
+    """n if assemble_transformed takes it (16 <= n <= MAX_NODES), else
+    ValidationError."""
+    if n < 16:
+        raise ValidationError("transformed assembly needs n >= 16")
+    return below_cap(n)
+
+
 def _blocks(n):
     return ((lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK))
 
@@ -117,8 +132,7 @@ def _build(a, b, n, c, ends, s=0.0, profile=None):
     """
     if n < 4:
         raise ValidationError("grid too small (need n >= 4)")
-    if n > MAX_NODES:
-        raise ValidationError(f"grid too large (n = {n} > {MAX_NODES})")
+    below_cap(n)
     if ends is None:
         n_cells = n
         kept = slice(0, n)
@@ -182,8 +196,7 @@ def assemble_transformed(profile: AdvectionProfile, c: Potential,
     """
     if not (math.isfinite(s) and s >= 0):
         raise ValidationError("s must be finite and >= 0")
-    if n < 16:
-        raise ValidationError("transformed assembly needs n >= 16")
+    transformed_size(n)
     if isinstance(bc, PeriodicBC):
         bc.validate(profile, c)
         ends = None

@@ -316,7 +316,8 @@ def build_parser():
                            "* s max|m'|, or 8 * multiplier * sqrt(s max|m'|) "
                            "where m' = 0 at both ends "
                            f"(default {policy.multiplier:g})")
-    grid.add_argument("--grid-floor", type=int, default=policy.floor,
+    grid.add_argument("--grid-floor", type=lambda text: lab.below_cap(_number(text, int)),
+                      default=policy.floor,
                       help=f"override the n(s) policy floor (default {policy.floor})")
     ladder = argparse.ArgumentParser(add_help=False, parents=[grid])
     ladder.add_argument("--ladder", type=_parse_ladder, required=True,
@@ -341,7 +342,8 @@ def build_parser():
         cmds[name] = sub.add_parser(name, parents=parents, help=summary)
         cmds[name].set_defaults(func=func)
     cmds["solve"].add_argument("--s", type=_number, required=True)
-    cmds["solve"].add_argument("--n", type=int, default=None, help="grid size override")
+    cmds["solve"].add_argument("--n", type=lambda text: lab.transformed_size(_number(text, int)),
+                               default=None, help="grid size override")
     cmds["solve"].add_argument("--dump-eigenfunction", metavar="FILE",
                                help="write the grid eigenfunction as x,w CSV")
     cmds["sweep"].add_argument("--out", default=None, help="CSV path (default stdout)")

@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import (MAX_NODES, DiscreteOperator, _build, assemble_transformed,
-                       eigenfunction_on_grid, principal_eigen)
+                       below_cap, eigenfunction_on_grid, principal_eigen,
+                       transformed_size)   # transformed_size checks the CLI's --n
 from .errors import (AdveigError, InsufficientData, IntervalOutOfDomain,
                      KStarUndefined, MassTooSmall, NoDecay, NonPositiveLambda,
                      NoOverlap, NumericalError, ValidationError)
@@ -57,7 +58,7 @@ class GridPolicy:
             size = self.multiplier * max(s, 1.0) * profile.max_abs_deriv
         if not size <= MAX_NODES:        # an overflowed size is inf
             raise ValidationError(f"s = {s:g} needs a grid over {MAX_NODES} nodes")
-        return int(max(self.floor, math.ceil(size)))
+        return below_cap(int(max(self.floor, math.ceil(size))))
 
 
 DEFAULT_POLICY = GridPolicy()

@@ -200,6 +200,32 @@ def test_solve_zero_grid_size_exit_2(capsys):
     assert err == "ValidationError: transformed assembly needs n >= 16\n"
 
 
+@pytest.mark.parametrize("extra, message", [
+    (("--n", "1000000000"), "grid too large (n = 1000000000 > 16777216)"),
+    (("--n", "3"), "transformed assembly needs n >= 16"),
+    (("--grid-floor", "100000000"), "grid too large (n = 100000000 > 16777216)")],
+    ids=["n-1e9", "n-3", "floor-1e8"])
+def test_solve_grid_out_of_range_exit_2_before_the_dump(capsys, monkeypatch, tmp_path,
+                                                        extra, message):
+    """An explicit --n outside 16..MAX_NODES, or a --grid-floor past
+    MAX_NODES, is refused while the flags convert: no solve runs and no
+    --dump-eigenfunction file is created."""
+    _no_solve(monkeypatch)
+    dump = tmp_path / "d.csv"
+    code, out, err = run_cli(capsys, "solve", *SWEEP_VEE, "--s", "10", *extra,
+                             "--dump-eigenfunction", str(dump))
+    assert (code, out, err) == (2, "", f"ValidationError: {message}\n")
+    assert not dump.exists()
+
+
+def test_sweep_grid_floor_past_the_cap_exit_2_before_any_solve(capsys, monkeypatch):
+    _no_solve(monkeypatch)
+    code, out, err = run_cli(capsys, "sweep", *SWEEP_VEE, "--ladder", "10,20,40",
+                             "--grid-floor", "100000000")
+    assert (code, out) == (2, "")
+    assert err == "ValidationError: grid too large (n = 100000000 > 16777216)\n"
+
+
 def test_grid_past_the_cap_exit_2(capsys):
     # both s ask for a grid far past assembly.MAX_NODES: one overflows the
     # policy's size to inf, one would ask np.arange for ~1e152 nodes

@@ -60,6 +60,16 @@ def test_grid_policy_follows_the_sqrt_layer_where_m_is_flat_at_both_ends():
         assert GridPolicy().n_for(prof, 1e4) <= 40_000
 
 
+def test_grid_policy_refuses_a_floor_past_the_cap():
+    """The floor counts toward the cap: n_for never returns a grid that
+    assembly would refuse as too large."""
+    from adveig.assembly import MAX_NODES
+    prof = build_profile(builtin("vee", 0.5))
+    assert GridPolicy(floor=MAX_NODES).n_for(prof, 10.0) == MAX_NODES
+    with pytest.raises(ValidationError, match="grid too large"):
+        GridPolicy(floor=MAX_NODES + 1).n_for(prof, 10.0)
+
+
 def test_t1_at_large_s_on_the_default_grid():
     """The default grid (n = 32001) gives t1's lambda at s = 1e4 to 1e-7;
     the n = 4000, 8000 and 16000 values lie within 4e-9 of the pin."""
