@@ -26,9 +26,10 @@ overflow nor warn.
 Grids are vertex-centered.  Each end's closure is beta or None, read
 from RobinBC.betas for the full problem and from SubBC (N or D) for a
 sub-interval.  A plateau [a, b] of m inherits N where m falls away from
-it and D where m rises away from it (the predictor's flank rule).  A kept end (beta = ell/hbar, 0 for Neumann) keeps its
-node with a half cell, the closure phi' = +-beta phi adding 2 beta/h to
-its diagonal, and is symmetrized by scaling that unknown by sqrt(2)
+it and D where m rises away from it (the predictor's flank rule).  A
+kept end (beta = ell/hbar, 0 for Neumann) keeps its node with a half
+cell, the closure phi' = +-beta phi adding 2 beta/h to its diagonal,
+and is symmetrized by scaling that unknown by sqrt(2)
 (eigenvalues unchanged, eigenvector entries scale back).  A Dirichlet
 end (None) drops its node.  With n the matrix dimension this gives
 h = (b-a)/(n-1) when both ends are kept and h = (b-a)/(n+1) when both

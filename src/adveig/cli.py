@@ -59,7 +59,8 @@ def _number(text, convert=float):
     try:
         value = convert(text)
     except ValueError:
-        raise MalformedSpec(f"not a number: {text!r}") from None
+        kind = "an integer" if convert is int else "a number"
+        raise MalformedSpec(f"not {kind}: {text!r}") from None
     if not math.isfinite(value):
         raise MalformedSpec(f"not a finite number: {text!r}")
     return value

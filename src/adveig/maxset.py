@@ -168,4 +168,3 @@ def decompose_periodic(profile: AdvectionProfile) -> MaxSetDecomposition:
     if not interior and not decomp.segments:
         raise NotPeriodic("m has no local maximum on the circle")
     return MaxSetDecomposition(interior, decomp.segments, circle=True)
-

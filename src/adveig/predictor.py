@@ -254,6 +254,5 @@ def decompose_under(profile, c: Potential, bc: RobinBC | PeriodicBC):
 def periodic_prediction(profile, c: Potential) -> LimitPrediction:
     """The periodic limit, the minimum of the plateau eigenvalues and of c
     at the isolated maxima: the circle form of predict_limit, which has
-    no boundary terms.  The
-    checks and their order are decompose_under's."""
+    no boundary terms.  The checks and their order are decompose_under's."""
     return predict_limit(decompose_under(profile, c, PeriodicBC()), c, PeriodicBC())

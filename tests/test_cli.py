@@ -218,6 +218,15 @@ def test_solve_grid_out_of_range_exit_2_before_the_dump(capsys, monkeypatch, tmp
     assert not dump.exists()
 
 
+def test_integer_flags_refuse_a_non_integer(capsys, monkeypatch):
+    _no_solve(monkeypatch)
+    for argv, text in ((("solve", *SWEEP_VEE, "--s", "10", "--n", "2.5"), "2.5"),
+                       (("solve", *SWEEP_VEE, "--s", "10", "--grid-floor", "x"), "x"),
+                       (("sweep", *SWEEP_VEE, "--ladder", "10:100:2.5"), "2.5")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"MalformedSpec: not an integer: {text!r}\n")
+
+
 def test_sweep_grid_floor_past_the_cap_exit_2_before_any_solve(capsys, monkeypatch):
     _no_solve(monkeypatch)
     code, out, err = run_cli(capsys, "sweep", *SWEEP_VEE, "--ladder", "10,20,40",
