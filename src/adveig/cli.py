@@ -275,6 +275,9 @@ def _cmd_report(args):
             src = pred.terms[idx].source
             if isinstance(src, maxset.IsolatedMax) and src.k_star is not None:
                 x, w = good[-1].grid
+                if decomp.circle:   # one period more on each side of [0, 1]
+                    x = np.concatenate((x - 1.0, x[1:], x[1:] + 1.0))
+                    w = np.concatenate((w, w[1:], w[1:]))
                 radius = lab.component_mass_radius(decomp, src.x)
                 resc = lab.rescaled_profile(x, w, src.x, src.k_star,
                                             good[-1].s, radius)
@@ -312,13 +315,14 @@ def build_parser():
     data.add_argument("--bc", type=_parse_bc, required=True,
                       help="robin:h1,l1,h2,l2 | periodic")
     grid = argparse.ArgumentParser(add_help=False)
-    grid.add_argument("--grid-multiplier", type=_number, default=policy.multiplier,
+    grid.add_argument("--grid-multiplier", default=policy.multiplier,
+                      type=lambda text: lab.grid_setting("multiplier", _number(text)),
                       help="override the n(s) policy multiplier: n = multiplier "
                            "* s max|m'|, or 8 * multiplier * sqrt(s max|m'|) "
                            "where m' = 0 at both ends "
                            f"(default {policy.multiplier:g})")
-    grid.add_argument("--grid-floor", type=lambda text: lab.below_cap(_number(text, int)),
-                      default=policy.floor,
+    grid.add_argument("--grid-floor", default=policy.floor,
+                      type=lambda text: lab.grid_setting("floor", _number(text, int)),
                       help=f"override the n(s) policy floor (default {policy.floor})")
     ladder = argparse.ArgumentParser(add_help=False, parents=[grid])
     ladder.add_argument("--ladder", type=_parse_ladder, required=True,

@@ -80,7 +80,6 @@ class GridTooCoarse(ValidationError):
 # -- predictor ---------------------------------------------------------
 
 class PreconditionViolated(ValidationError): pass
-class BoundaryClassPresent(ValidationError): pass
 
 
 # -- lab ---------------------------------------------------------------

@@ -28,7 +28,16 @@ from .assembly import (MAX_NODES, DiscreteOperator, _build, assemble_transformed
 from .errors import (AdveigError, InsufficientData, IntervalOutOfDomain,
                      KStarUndefined, MassTooSmall, NoDecay, NonPositiveLambda,
                      NoOverlap, NumericalError, ValidationError)
-from .maxset import LEFT_BOUNDARY, RIGHT_BOUNDARY, _sloped, _zero_tol
+from .maxset import _zero_tol
+
+
+def grid_setting(name, value):
+    """value if GridPolicy takes it as its field name (a multiplier > 0, a
+    floor from 0 to MAX_NODES), else ValidationError."""
+    floor = name == "floor"
+    if value > 0 or floor and value == 0:
+        return below_cap(value) if floor else value
+    raise ValidationError(f"grid {name} must be {'>= 0' if floor else '> 0'}, not {value:g}")
 
 
 @dataclass(frozen=True)
@@ -48,10 +57,13 @@ class GridPolicy:
     multiplier: float = 16.0
     floor: int = 2000
 
+    def __post_init__(self):
+        grid_setting("multiplier", self.multiplier)
+        grid_setting("floor", self.floor)
+
     def n_for(self, profile, s):
         tol = _zero_tol(profile)
-        if not (_sloped(profile, 0, LEFT_BOUNDARY, tol)
-                or _sloped(profile, len(profile.knots) - 1, RIGHT_BOUNDARY, tol)):
+        if all(abs(profile.knot_values(i)[1]) <= tol for i in (0, len(profile.widths))):
             size = 8.0 * self.multiplier * math.sqrt(
                 max(s, 1.0) * profile.max_abs_deriv)
         else:
@@ -230,12 +242,13 @@ def mass_distribution(x, w, intervals):
 def component_mass_radius(decomp, x0):
     """Half the distance from x0 to the nearest other max-set component,
     falling back to the nearest end of [0, 1] for a single component;
-    keeps the local mass window from swallowing neighbouring support."""
+    keeps the local mass window from swallowing neighbouring support.
+    On the circle each component recurs a period to either side."""
     gaps = []
     for lo, hi in decomp.components():
-        if lo <= x0 <= hi:
-            continue
-        gaps.append(lo - x0 if lo > x0 else x0 - hi)
+        for turn in (-1.0, 0.0, 1.0) if decomp.circle else (0.0,):
+            if not lo + turn <= x0 <= hi + turn:
+                gaps.append(lo + turn - x0 if lo + turn > x0 else x0 - hi - turn)
     if not gaps:
         edge = [d for d in (x0, 1.0 - x0) if d > 0]
         return 0.5 * min(edge, default=1.0)

@@ -13,6 +13,9 @@ carries the signs of m' on its flanks, from which its class is read:
     M6 [0,aI] / M7 [0,aD]   plateau touching the left boundary
     M8 [aI,1] / M9 [aD,1]   plateau touching the right boundary
 
+One loop reads [0, 1] and the circle 0 ~ 1.  The circle has no
+boundary, so M6..M9 occur on [0, 1] only.
+
 The degeneracy order k* of an isolated maximum (first k >= 2 with
 m^(k)(x0) != 0) is defined only where the two one-sided derivative
 sequences agree through that order, i.e. where x0 effectively lies
@@ -23,8 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BoundaryClassPresent, NotPeriodic, PreconditionViolated
-from .profile import AdvectionProfile, DEGREE_CAP
+from .profile import AdvectionProfile, DEGREE_CAP, PeriodicBC
 
 INTERIOR = "interior"
 LEFT_BOUNDARY = "left_boundary"
@@ -70,101 +72,78 @@ class MaxSetDecomposition:
         return sorted(out)
 
 
-def _sign_runs(profile: AdvectionProfile):
-    """Merge adjacent equal-sign segments into (sign, lo, hi) runs, with
-    lo and hi knot indices."""
-    runs = []
-    for i, sign in enumerate(profile.sign_signature):
-        if runs and runs[-1][0] == sign:
-            runs[-1] = (sign, runs[-1][1], i + 1)
-        else:
-            runs.append((sign, i, i + 1))
-    return runs
-
-
-# one-sided derivative sequences that exist at each kind of maximum
-_SIDES = {INTERIOR: ("left", "right"),
-          LEFT_BOUNDARY: ("right",),
-          RIGHT_BOUNDARY: ("left",)}
-
-
 def _zero_tol(profile):
     """Tolerance below which a derivative value counts as zero."""
     return 1e-9 * max(1.0, profile.scale)
 
 
-def _sloped(profile, i, position, tol):
-    """m' != 0 at knot i on some side that exists."""
-    return any(abs(profile.knot_values(i, s)[1]) > tol for s in _SIDES[position])
-
-
-def _kstar_at(profile: AdvectionProfile, i, position):
+def _kstar_at(profile: AdvectionProfile, i, circle):
     """(k*, m^(k*)) if defined at an isolated maximum at knot i, else
     (None, None).
 
-    Interior points need the left/right derivative sequences to agree
-    through the first nonzero order; at a domain boundary only the
-    inward side exists.  m'(x) != 0 (possible at a boundary maximum)
-    leaves k* undefined since the definition starts from m'(x) = 0.
+    The left and right derivative sequences must agree through the
+    first nonzero order.  At an end of [0, 1] knot_values reads the
+    inward side for both; at the wrap point 0 ~ 1 of the circle the left
+    side is the last knot's.  m'(x) != 0 (possible at a boundary
+    maximum) leaves k* undefined since the definition starts from m'(x) = 0.
     """
     tol = _zero_tol(profile)
-    if _sloped(profile, i, position, tol):
+    left = profile.knot_values(i or len(profile.widths) if circle else i, "left")
+    right = profile.knot_values(i, "right")
+    if abs(left[1]) > tol or abs(right[1]) > tol:
         return None, None
-    sides = [profile.knot_values(i, s) for s in _SIDES[position]]
     for k in range(2, DEGREE_CAP + 1):
-        vals = [seq[k] for seq in sides]
-        if len(vals) == 2 and abs(vals[0] - vals[1]) > tol * max(1.0, abs(vals[0]), abs(vals[1])):
+        if abs(left[k] - right[k]) > tol * max(1.0, abs(left[k]), abs(right[k])):
             return None, None   # genuine junction: higher derivatives disagree
-        if abs(vals[0]) > tol:
-            return k, float(vals[0])
+        if abs(left[k]) > tol:
+            return k, float(left[k])
     return None, None
 
 
-def decompose(profile: AdvectionProfile) -> MaxSetDecomposition:
-    """Local-maximum set of a validated profile as M1..M9 components."""
-    runs = _sign_runs(profile)
+def _read_runs(profile: AdvectionProfile, circle) -> MaxSetDecomposition:
+    """Isolated maxima where a + run meets a - run, or m falls from x = 0
+    or rises into x = 1 with no run beyond, and each 0 run of m' as a
+    plateau flanked by its neighbours' signs.  On [0, 1] the first and
+    last runs have no outer neighbour.  On the circle neighbours are
+    cyclic (a lone run is its own), and a first and last run of one sign
+    are one run through 0 ~ 1, whose knot indices past n stand for
+    1 + knots[i - n]."""
+    runs = []      # (sign, lo, hi): equal-sign segments merged, knot indices
+    for i, sign in enumerate(profile.sign_signature):
+        if runs and runs[-1][0] == sign:
+            runs[-1] = (sign, runs[-1][1], i + 1)
+        else:
+            runs.append((sign, i, i + 1))
     knots = profile.knots.tolist()
-    isolated = []
-    segments = []
-
-    # boundary isolated maxima: 0 if m decreases immediately to its right,
-    # 1 if m increases immediately to its left
-    if runs[0][0] == -1:
-        k, mk = _kstar_at(profile, 0, LEFT_BOUNDARY)
-        isolated.append(IsolatedMax(0.0, LEFT_BOUNDARY, k, mk))
-    if runs[-1][0] == 1:
-        k, mk = _kstar_at(profile, len(knots) - 1, RIGHT_BOUNDARY)
-        isolated.append(IsolatedMax(1.0, RIGHT_BOUNDARY, k, mk))
-
+    n = len(knots) - 1
+    if circle:
+        knots += [k + 1.0 for k in knots[1:]]
+        if len(runs) > 1 and runs[0][0] == runs[-1][0]:
+            sign, lo, _ = runs.pop()
+            runs.append((sign, lo, runs.pop(0)[2] + n))
+    isolated, segments = [], []
     for i, (sign, lo, hi) in enumerate(runs):
+        left = runs[i - 1][0] if i or circle else None
+        right = runs[(i + 1) % len(runs)][0] if i + 1 < len(runs) or circle else None
         if sign == 0:
-            left = runs[i - 1][0] if i > 0 else None
-            right = runs[i + 1][0] if i + 1 < len(runs) else None
             segments.append(SegmentMax(knots[lo], knots[hi], (left, right)))
-        elif sign == 1 and i + 1 < len(runs) and runs[i + 1][0] == -1:
-            k, mk = _kstar_at(profile, hi, INTERIOR)
-            isolated.append(IsolatedMax(knots[hi], INTERIOR, k, mk))
-
+        elif sign == 1 and right != 0 or sign == -1 and left in (None, -1):
+            at = lo if sign == -1 else hi % n if circle else hi
+            k, mk = _kstar_at(profile, at, circle)
+            position = (INTERIOR if circle or 0 < at < n
+                        else LEFT_BOUNDARY if at == 0 else RIGHT_BOUNDARY)
+            isolated.append(IsolatedMax(knots[at], position, k, mk))
     isolated.sort(key=lambda p: p.x)
-    return MaxSetDecomposition(tuple(isolated), tuple(segments))
+    return MaxSetDecomposition(tuple(isolated), tuple(segments), circle)
+
+
+def decompose(profile: AdvectionProfile) -> MaxSetDecomposition:
+    """Local-maximum set of a validated profile on [0, 1]."""
+    return _read_runs(profile, circle=False)
 
 
 def decompose_periodic(profile: AdvectionProfile) -> MaxSetDecomposition:
-    """Decomposition for the 1-periodic problem (needs m'(0) > 0).
-
-    On the circle the wrap point 0 ~ 1 sits inside an increasing run, so
-    the right-boundary maximum that the restricted-to-[0,1] reading
-    would report at 1 is dropped.  m'(0) > 0 rules out a plateau at 0,
-    but a plateau reaching 1 (M8, M9) can occur and is refused: the
-    circle has no boundary for it to touch.
-    """
-    if profile.knot_values(0)[1] <= 0:
-        raise PreconditionViolated("periodic decomposition requires m'(0) > 0")
-    decomp = decompose(profile)
-    if any(None in s.flanks for s in decomp.segments):
-        raise BoundaryClassPresent(
-            "boundary plateau classes are not meaningful on the circle")
-    interior = tuple(p for p in decomp.isolated if p.position == INTERIOR)
-    if not interior and not decomp.segments:
-        raise NotPeriodic("m has no local maximum on the circle")
-    return MaxSetDecomposition(interior, decomp.segments, circle=True)
+    """Local-maximum set of a validated profile on the circle 0 ~ 1; m,
+    m' and m'' must wrap (NotPeriodic otherwise)."""
+    PeriodicBC().validate(profile, None)
+    return _read_runs(profile, circle=True)

@@ -110,7 +110,8 @@ def _gll_element(p):
 
 def _gll_eigenvalue(c, a, b, betas, p):
     """Principal eigenvalue of -phi'' + c phi on [a, b] from degree-p GLL
-    elements, one per piece of c, with lumped (GLL) mass.
+    elements, one per piece of c, with lumped (GLL) mass; b > 1 is a
+    plateau through 0 ~ 1 of the circle, where c(x) reads c(x - 1).
 
     betas holds the Robin coefficient phi' = +-beta phi of each end, or
     None for a Dirichlet end, whose node is dropped.  The eigenvector of
@@ -125,8 +126,9 @@ def _gll_eigenvalue(c, a, b, betas, p):
     """
     nodes, weights, diff, stiff = _gll_element(p)
     gap = _KNOT_GAP * (b - a)
+    knots = np.append(c.knots, c.knots + 1.0) if b > 1.0 else c.knots
     ends = [a]
-    for k in c.knots.tolist():
+    for k in knots.tolist():
         if ends[-1] + gap < k < b - gap:
             ends.append(k)
     ends.append(b)
@@ -142,7 +144,7 @@ def _gll_eigenvalue(c, a, b, betas, p):
         mass[block] += weights / scale
         matrix[block, block] += scale * stiff
         blocks.append((block, scale))
-    cx = c(x)
+    cx = c(np.where(x > 1.0, x - 1.0, x) if b > 1.0 else x)
     beta_left, beta_right = betas[0] or 0.0, betas[1] or 0.0
     matrix.flat[::n + 1] += mass * cx
     matrix[0, 0] += beta_left
@@ -242,11 +244,11 @@ def predict_limit(decomp: MaxSetDecomposition, c: Potential,
 
 def decompose_under(profile, c: Potential, bc: RobinBC | PeriodicBC):
     """The decomposition predict_limit reads under bc.  On the circle,
-    decompose_periodic (which needs m'(0) > 0) runs before the wrap check
-    of the data (NotPeriodic)."""
+    decompose_periodic checks that m wraps, then c's wrap is checked
+    (NotPeriodic either way)."""
     if isinstance(bc, PeriodicBC):
         decomp = decompose_periodic(profile)
-        bc.validate(profile, c)
+        bc.validate(None, c)
         return decomp
     return decompose(profile)
 

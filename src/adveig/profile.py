@@ -319,9 +319,9 @@ class RobinBC:
 @dataclass(frozen=True)
 class PeriodicBC:
     def validate(self, profile, potential):
-        tol = GLUE_TOL * max(1.0, profile.scale)
-        for order, jump in enumerate(profile.wrap_jumps(2)):
-            if jump > tol:
+        """NotPeriodic unless m, m', m'' and c wrap; None skips either."""
+        for order, jump in enumerate(() if profile is None else profile.wrap_jumps(2)):
+            if jump > GLUE_TOL * max(1.0, profile.scale):
                 raise NotPeriodic(f"m^({order}) wrap mismatch {jump:.3e} at 0/1")
         if (potential is not None and potential.wrap_jumps(0)[0]
                 > GLUE_TOL * max(1.0, potential.scale)):

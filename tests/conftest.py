@@ -173,6 +173,18 @@ def scale_spec(spec: ProfileSpec, alpha, beta) -> ProfileSpec:
     return ProfileSpec(spec.knots, tuple(segments), signs)
 
 
+def wrap_bump_spec(centred=False):
+    """m = p((x + 1/2) mod 1) with p = u^2 (1 - u)^2, whose maximum 1/16
+    sits at the wrap point 0 ~ 1 with m'' = -1; centred gives p itself,
+    the same bump turned half a period, with its maximum at 1/2."""
+    p = (0.0, 0.0, 1.0, -2.0, 1.0)
+    shifted = tuple(sum(c * math.comb(i, j) * 0.5 ** (i - j) for i, c in enumerate(p)
+                        if i >= j) for j in range(len(p)))
+    if centred:
+        return ProfileSpec((0.0, 0.5, 1.0), (p, shifted), ("increasing", "decreasing"))
+    return ProfileSpec((0.0, 0.5, 1.0), (shifted, p), ("decreasing", "increasing"))
+
+
 def run_fresh(script, *args):
     """stdout of `script` run by a new interpreter that imports adveig
     from this checkout's src; a nonzero exit fails the test."""

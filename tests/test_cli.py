@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import subprocess
 import sys
 
@@ -10,7 +9,7 @@ import pytest
 from adveig import predictor
 from adveig.cli import build_parser, main
 from adveig.profile import builtin, spec_to_dict
-from conftest import run_fresh
+from conftest import run_fresh, wrap_bump_spec
 
 SCHEMA_CLASSIFY = {
     "type": "object",
@@ -235,6 +234,21 @@ def test_sweep_grid_floor_past_the_cap_exit_2_before_any_solve(capsys, monkeypat
     assert err == "ValidationError: grid too large (n = 100000000 > 16777216)\n"
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--grid-multiplier", "-1", "grid multiplier must be > 0, not -1"),
+    ("--grid-multiplier", "0", "grid multiplier must be > 0, not 0"),
+    ("--grid-floor", "-1", "grid floor must be >= 0, not -1")])
+def test_bad_grid_settings_exit_2_before_any_file_or_solve(capsys, monkeypatch, tmp_path,
+                                                           flag, value, message):
+    _no_solve(monkeypatch)
+    for argv in (("solve", *SWEEP_VEE, "--s", "10",
+                  "--dump-eigenfunction", str(tmp_path / "w.csv")),
+                 ("sweep", *SWEEP_VEE, "--ladder", "10,20", "--out", str(tmp_path / "F"))):
+        code, out, err = run_cli(capsys, *argv, flag, value)
+        assert (code, out, err) == (2, "", f"ValidationError: {message}\n"), argv
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_grid_past_the_cap_exit_2(capsys):
     # both s ask for a grid far past assembly.MAX_NODES: one overflows the
     # policy's size to inf, one would ask np.arange for ~1e152 nodes
@@ -399,24 +413,29 @@ def test_predict_periodic_bc(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["verdict"] == "finite"
     assert doc["value"] == pytest.approx(0.7)
-    # m'(0) < 0 fails the periodic decomposition before the wrap check,
-    # as in predictor.periodic_prediction
+    # m' does not wrap: vee's jumps by 0.4, power_max's by 2
     code, _, err = run_cli(capsys, "predict", "--template", "vee:0.5",
                            "--c", "zero", "--bc", "periodic")
-    assert code == 2 and err.startswith("PreconditionViolated:")
-    # m'(0) > 0 with an interior maximum, but m' does not wrap
+    assert code == 2 and err == "NotPeriodic: m^(1) wrap mismatch 4.000e-01 at 0/1\n"
     code, _, err = run_cli(capsys, "predict", "--template", "power_max:0.5,2",
                            "--c", "zero", "--bc", "periodic")
     assert code == 2 and err.startswith("NotPeriodic: m^(1) wrap mismatch")
-    # wrap-compatible but m'(0) < 0: periodic normalization violated
+    # the mirror image m(1 - x) has its maximum at 0.75 and m'(0) < 0;
+    # c = x - x^3 wraps and tells 0.75 from 0.25
     from conftest import reflect_spec
-    from adveig.profile import builtin as make_spec, spec_to_dict
     path = tmp_path / "reflected.json"
-    path.write_text(json.dumps(spec_to_dict(
-        reflect_spec(make_spec("periodic_bump", 0.25)))))
-    code, _, err = run_cli(capsys, "predict", "--profile", str(path),
-                           "--c", "zero", "--bc", "periodic")
-    assert code == 2 and err.startswith("PreconditionViolated")
+    path.write_text(json.dumps(spec_to_dict(reflect_spec(builtin("periodic_bump", 0.25)))))
+    code, out, _ = run_cli(capsys, "predict", "--profile", str(path),
+                           "--c", "poly:0,1,0,-1", "--bc", "periodic")
+    assert code == 0 and json.loads(out)["value"] == pytest.approx(0.328125, abs=1e-12)
+    # example2 falls from 0 and rises into 1: on the circle one maximum
+    # at 0 ~ 1, where c = 0.75
+    code, out, _ = run_cli(capsys, "predict", "--template", "example2:0.3,0.7",
+                           "--c", "poly:0.75,-1,1", "--bc", "periodic")
+    doc = json.loads(out)
+    assert code == 0 and doc["value"] == 0.75
+    assert doc["terms"][0]["source"] == {"type": "isolated", "x": 0.0,
+                                         "position": "interior"}
 
 
 def test_solve_periodic_bc(capsys):
@@ -479,6 +498,27 @@ def test_report_unbounded_verdict(tmp_path, capsys):
     assert doc["prediction"]["verdict"] == "unbounded"
     assert doc["max_abs_gap"] is None
     assert not doc["converged"]
+
+
+def test_report_rescales_a_maximum_at_the_wrap_point(tmp_path, capsys):
+    """The bump with its maximum at 0 ~ 1 is the bump centred at 1/2
+    turned half a period: on the circle its mass window and its
+    rescaled profile run over the wrap point, and match the centred
+    one's to 1e-6."""
+    profiles = {}
+    for name, centred in (("wrap", False), ("centred", True)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(spec_to_dict(wrap_bump_spec(centred))))
+        code, out, _ = run_cli(capsys, "report", "--profile", str(path), "--c", "zero",
+                               "--bc", "periodic", "--ladder", "100,200,400",
+                               "--outdir", str(tmp_path / name))
+        assert code == 0
+        assert json.loads(out)["rescaled_profile"]["x0"] == (0.0 if name == "wrap" else 0.5)
+        profiles[name] = np.loadtxt(tmp_path / name / "rescaled_profile.dat")
+    wrap, centred = profiles["wrap"], profiles["centred"]
+    assert wrap[0, 0] == -4.0 and wrap[-1, 0] == 4.0
+    assert np.abs(wrap - centred).max() <= 1e-6
+    assert wrap[80, 1] == pytest.approx(math.pi ** -0.25, abs=5e-3)   # W(0)
 
 
 CLI_SOURCE = {"--template": (False, None), "--profile": (False, None)}

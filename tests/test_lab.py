@@ -16,10 +16,10 @@ from adveig.lab import (GridPolicy, LimitProfile, RescaledProfile, SweepRecord,
                         limit_ode_ground_state, mass_distribution,
                         profile_distance, rescaled_profile,
                         segment_restriction_distance, sweep)
-from adveig.maxset import decompose
+from adveig.maxset import IsolatedMax, MaxSetDecomposition, decompose, decompose_periodic
 from adveig.profile import (TEMPLATES, Potential, RobinBC, build_profile,
                             builtin)
-from conftest import TEMPLATE_PARAMS
+from conftest import TEMPLATE_PARAMS, wrap_bump_spec
 
 C0 = Potential.zero()
 CX = Potential.from_coeffs([0.0, 1.0])
@@ -70,6 +70,15 @@ def test_grid_policy_refuses_a_floor_past_the_cap():
         GridPolicy(floor=MAX_NODES + 1).n_for(prof, 10.0)
 
 
+def test_grid_policy_refuses_a_non_positive_multiplier_or_a_negative_floor():
+    for kwargs, message in (({"multiplier": 0.0}, "multiplier must be > 0"),
+                            ({"multiplier": -16.0}, "multiplier must be > 0"),
+                            ({"floor": -1}, "floor must be >= 0")):
+        with pytest.raises(ValidationError, match=message):
+            GridPolicy(**kwargs)
+    assert GridPolicy(floor=0).floor == 0
+
+
 def test_t1_at_large_s_on_the_default_grid():
     """The default grid (n = 32001) gives t1's lambda at s = 1e4 to 1e-7;
     the n = 4000, 8000 and 16000 values lie within 4e-9 of the pin."""
@@ -110,7 +119,7 @@ def test_sweep_empty_mass_intervals_and_error_markers():
     assert records[0].mass == ()
     # an unresolvable grid is recorded, not raised
     records = sweep(prof, C0, RobinBC.neumann(), [10.0, 1e7],
-                    grid_policy=GridPolicy(multiplier=0.0, floor=2000))
+                    grid_policy=GridPolicy(multiplier=1e-6, floor=2000))
     assert records[0].error is None
     assert records[1].error is not None and "GridTooCoarse" in records[1].error
 
@@ -420,6 +429,20 @@ def test_component_mass_radius():
     assert component_mass_radius(d, 0.15) == pytest.approx(0.15)  # to [0.45,0.6]
     single = decompose(build_profile(builtin("power_max", 0.5, 2)))
     assert component_mass_radius(single, 0.5) == pytest.approx(0.25)
+
+
+def test_component_mass_radius_runs_around_the_circle():
+    # a lone maximum is a full period from itself, at 0 ~ 1 as at 0.25
+    for prof, x0 in ((build_profile(wrap_bump_spec()), 0.0),
+                     (build_profile(builtin("periodic_bump", 0.25)), 0.25)):
+        assert component_mass_radius(decompose_periodic(prof), x0) == 0.5
+    # maxima at 0.1 and 0.9 are 0.2 apart through 0 ~ 1, 0.8 apart on [0, 1]
+    two = MaxSetDecomposition((IsolatedMax(0.1, "interior"), IsolatedMax(0.9, "interior")),
+                              ())
+    assert component_mass_radius(two, 0.1) == pytest.approx(0.4)
+    circle = MaxSetDecomposition(two.isolated, (), circle=True)
+    assert component_mass_radius(circle, 0.1) == pytest.approx(0.1)
+    assert component_mass_radius(circle, 0.9) == pytest.approx(0.1)
 
 
 # -- limit ODE -------------------------------------------------------------

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from adveig.errors import BoundaryClassPresent, NotPeriodic, PreconditionViolated
+from adveig.errors import NotPeriodic
+from adveig.lab import sweep
 from adveig.maxset import decompose, decompose_periodic
-from adveig.predictor import predict_limit
-from adveig.profile import Potential, ProfileSpec, RobinBC, build_profile, builtin
-from conftest import reflect_spec, scale_spec
+from adveig.predictor import _sub_eigenvalue, periodic_prediction, predict_limit
+from adveig.profile import (PeriodicBC, Potential, ProfileSpec, RobinBC, _ramp_chain,
+                            build_profile, builtin)
+from conftest import reflect_spec, scale_spec, wrap_bump_spec
 
 T1 = (0.15, 0.3, 0.45, 0.6, 0.8)
 T2 = (0.1, 0.25, 0.4, 0.55, 0.7, 0.85)
@@ -173,29 +175,91 @@ def test_periodic_decomposition():
     bump = build_profile(builtin("periodic_bump", 0.25))
     d = decompose_periodic(bump)
     assert [(p.x, p.position) for p in d.isolated] == [(0.25, "interior")]
-    assert d.segments == ()
+    assert d.segments == () and d.circle
     # restricted-to-[0,1] reading would also report the wrap point
     assert any(p.position == "right_boundary"
                for p in decompose(bump).isolated)
-    with pytest.raises(PreconditionViolated):
+    # m' of vee jumps by 0.4 at the wrap point, m of m(x) = x by 1
+    with pytest.raises(NotPeriodic, match=r"^m\^\(1\) wrap mismatch 4.000e-01"):
         decompose_periodic(build_profile(builtin("vee", 0.5)))
-    # m'(0) > 0 but no maximum on the circle: m is not 1-periodic
-    with pytest.raises(NotPeriodic):
+    with pytest.raises(NotPeriodic, match=r"^m\^\(0\) wrap mismatch"):
         decompose_periodic(build_profile(builtin("monotone_increasing")))
+    # example2 falls from 0 and rises into 1: its two boundary maxima on
+    # [0, 1] are one interior maximum at 0 ~ 1 on the circle, a ramp
+    # junction whose one-sided third derivatives differ: no k*
+    d = decompose_periodic(build_profile(builtin("example2", 0.3, 0.7)))
+    assert [(p.x, p.position, p.k_star) for p in d.isolated] == [(0.0, "interior", None)]
+    assert [(s.a, s.b, s.cls) for s in d.segments] == [(0.3, 0.7, "M4")]
 
 
 def test_periodic_rejects_boundary_plateau():
-    # increasing, then constant through the right boundary; m'(0) > 0
+    # increasing, then constant through the right boundary: m(1) != m(0)
     spec = ProfileSpec(
         (0.0, 0.5, 1.0),
         ((0.0, 0.0, 0.0, 10.0 / 0.125, -15.0 / 0.0625, 6.0 / 0.03125), (1.0,)),
         ("increasing", "constant"))
     prof = build_profile(spec)
-    with pytest.raises((BoundaryClassPresent, PreconditionViolated)):
+    with pytest.raises(NotPeriodic):
         decompose_periodic(prof)
-    # m' = 3 (0.5 - x)^2 on [0, 0.5]: m'(0) > 0, so only the plateau [0.5, 1]
-    # (M8) stands in the way
+    # m' = 3 (0.5 - x)^2 on [0, 0.5], then the plateau [0.5, 1] (M8 on
+    # [0, 1]): m(1) = 0.125 != m(0)
     spec = ProfileSpec((0.0, 0.5, 1.0), ((0.0, 0.75, -1.5, 1.0), (0.125,)),
                        ("increasing", "constant"))
-    with pytest.raises(BoundaryClassPresent):
+    with pytest.raises(NotPeriodic):
         decompose_periodic(build_profile(spec))
+    # down, up, then a plateau that reaches x = 1 and wraps: M8 on [0, 1]
+    # with a maximum at 0, one M3 plateau on the circle
+    prof = build_profile(_ramp_chain((0.0, 0.3, 0.6, 1.0), (1.0, 0.5, 1.0, 1.0)))
+    assert [(s.a, s.b, s.cls) for s in decompose(prof).segments] == [(0.6, 1.0, "M8")]
+    d = decompose_periodic(prof)
+    assert d.isolated == ()
+    assert [(s.a, s.b, s.cls) for s in d.segments] == [(0.6, 1.0, "M3")]
+
+
+def test_plateau_through_the_wrap_point():
+    """A plateau on both sides of 0 ~ 1 is one M3 component [a, b + 1),
+    and its rotation into (0, 1) has the same flanks and limit terms."""
+    wrapped = build_profile(_ramp_chain((0.0, 0.2, 0.5, 0.8, 1.0),
+                                        (1.0, 1.0, 0.5, 1.0, 1.0)))
+    (seg,) = decompose_periodic(wrapped).segments
+    assert (seg.a, seg.b, seg.flanks, seg.cls) == (0.8, 1.2, (1, -1), "M3")
+    assert decompose_periodic(wrapped).isolated == ()
+    # the same profile rotated by 0.2: the plateau is [0.6, 1.0]
+    inside = build_profile(_ramp_chain((0.0, 0.3, 0.6, 1.0), (1.0, 0.5, 1.0, 1.0)))
+    # c on the circle, with kinks at 0 and 0.1 under the plateau, and
+    # rotated with m
+    c = Potential.from_segments((0.0, 0.1, 0.5, 1.0), ((2.0, -5.0), (1.5, 0.5), (1.7, 0.6)))
+    c_inside = Potential.from_segments((0.0, 0.3, 0.8, 0.9, 1.0),
+                                       ((1.55, 0.5), (1.7, 0.6), (2.0, -5.0), (1.5, 0.5)))
+    got = periodic_prediction(wrapped, c)
+    want = periodic_prediction(inside, c_inside)
+    assert [t.kind for t in got.terms] == [t.kind for t in want.terms] == ["NN"]
+    assert got.terms[0].value == pytest.approx(want.terms[0].value, abs=1e-12)
+    for betas in ((0.0, 0.0), (None, None)):      # NN and DD closures
+        assert _sub_eigenvalue(c, 0.8, 1.2, betas)[0] == pytest.approx(
+            _sub_eigenvalue(c_inside, 0.6, 1.0, betas)[0], abs=1e-12)
+
+
+def test_lone_run_round_the_circle():
+    """m = +-1e-13 x passes the wrap check, whose tolerance is 1e-12 for
+    a profile this small: its one sign run is its own neighbour, and m
+    is largest at 0 ~ 1 either way."""
+    for slope, sign in ((1e-13, "increasing"), (-1e-13, "decreasing")):
+        prof = build_profile(ProfileSpec((0.0, 1.0), ((0.0, slope),), (sign,)))
+        d = decompose_periodic(prof)
+        assert [(p.x, p.position) for p in d.isolated] == [(0.0, "interior")]
+        assert d.segments == ()
+
+
+def test_maximum_at_the_wrap_point():
+    """m = p((x + 1/2) mod 1), p = u^2 (1 - u)^2: the maximum at 0 ~ 1
+    takes its k* from the left values at 1 and the right values at 0,
+    and the limit c(0) is what the periodic eigenvalue approaches."""
+    prof = build_profile(wrap_bump_spec())
+    (point,) = decompose_periodic(prof).isolated
+    assert (point.x, point.position, point.k_star) == (0.0, "interior", 2)
+    assert point.m_kstar == pytest.approx(-1.0, abs=1e-12)
+    c = Potential.from_coeffs([2.0, -1.0, 1.0])
+    assert periodic_prediction(prof, c).value == 2.0
+    gaps = [abs(r.lam - 2.0) for r in sweep(prof, c, PeriodicBC(), [1e2, 1e3, 1e4])]
+    assert gaps[0] > gaps[1] > gaps[2] and gaps[2] < 1e-2

@@ -277,13 +277,13 @@ PAIRING_BCS = (RobinBC.neumann(), RobinBC.dirichlet(), RobinBC(1, 1, 1, 0),
                RobinBC(1, 0, 1, 1), PeriodicBC())
 PAIRED_LIMITS = {
     "example1": (0.5, 0.749996666667, 0.5, 0.749996666667, None),
-    "example2": (0.5, 62.4350204843, 0.5, 1.0, None),
+    "example2": (0.5, 62.4350204843, 0.5, 1.0, 1.0),
     "example3": (0.5, 40.2662458554, 0.5, 40.2662458554, None),
     "t1": (0.5, 0.737498945313, 0.5, 0.737498945313, None),
     "t2": (0.537498945313, 0.95, 0.537498945313, 0.95, None),
     "monotone_increasing": (0.5, "i-1", 0.5, "i-3", None),
     "vee": (0.5, "i-1", 0.5, 1.0, None),
-    "power_max": (0.75, 0.75, 0.75, 0.75, 0.75),
+    "power_max": (0.75, 0.75, 0.75, 0.75, None),
     "power_well": (0.5, "i-1", 0.5, 1.0, None),
     "periodic_bump": (0.5, 0.875, 0.5, 0.875, 0.875),
     # on the circle the maximum at 1 is gone, so the Neumann c(1) = 0.5
@@ -328,7 +328,7 @@ def test_decomposition_pairs_with_its_boundary_type(template, monkeypatch):
 
 
 def test_periodic_preconditions():
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(NotPeriodic, match=r"^m\^\(1\) wrap mismatch"):
         periodic_prediction(build_profile(builtin("vee", 0.5)), C0)
     # m'(0) = 1 but m'(1) = -1: m does not wrap
     kink = ProfileSpec((0.0, 0.5, 1.0), ((0.0, 1.0, -1.0), (0.25, 0.0, -1.0)),
@@ -339,6 +339,51 @@ def test_periodic_preconditions():
     with pytest.raises(NotPeriodic):
         periodic_prediction(build_profile(builtin("periodic_bump", 0.25)),
                             Potential.from_coeffs([0.0, 1.0]))
+
+
+def _circle_chain(knots, levels, values):
+    """A ramp chain with equal end levels, and the continuous periodic
+    piecewise-linear c through values at the same knots."""
+    slopes = [(v1 - v0) / (k1 - k0) for k0, k1, v0, v1
+              in zip(knots, knots[1:], values, values[1:])]
+    return (build_profile(_ramp_chain(knots, levels)),
+            Potential.from_segments(knots, tuple(zip(values, slopes))))
+
+
+def _circle_components(decomp, shift):
+    """(start turned back by shift on the circle, length, k* or flanks)
+    of each component, to 1e-9."""
+    def start(x):
+        return round((x - shift) % 1.0, 9) % 1.0
+    return sorted([(start(p.x), 0.0, p.k_star) for p in decomp.isolated]
+                  + [(start(seg.a), round(seg.b - seg.a, 9), seg.flanks)
+                     for seg in decomp.segments])
+
+
+def test_rotation_commutes_with_the_circle_reading(rng):
+    """Turning a wrapping ramp chain and its c by one of its own knots
+    turns the decomposition's components and leaves their flanks and
+    the periodic limit unchanged: the wrap point is not special."""
+    for _ in range(150):
+        pieces = int(rng.integers(3, 9))
+        widths = rng.uniform(0.5, 1.5, pieces)
+        knots = [0.0, *np.cumsum(widths / widths.sum())[:-1].tolist(), 1.0]
+        levels = [float(v) for v in rng.integers(0, 3, pieces + 1) * 0.25]
+        levels[-1] = levels[0]
+        if len(set(levels)) == 1:
+            levels[1] += 0.5
+        values = rng.uniform(0.0, 2.0, pieces + 1).tolist()
+        values[-1] = values[0]
+        k = int(rng.integers(1, pieces))
+        turned_knots = ([x - knots[k] for x in knots[k:]]
+                        + [1.0 + x - knots[k] for x in knots[1:k]] + [1.0])
+        prof, c = _circle_chain(knots, levels, values)
+        turned, turned_c = _circle_chain(turned_knots, levels[k:] + levels[1:k + 1],
+                                         values[k:] + values[1:k + 1])
+        components = _circle_components(decompose_periodic(prof), knots[k])
+        assert components == _circle_components(decompose_periodic(turned), 0.0)
+        assert periodic_prediction(prof, c).value == pytest.approx(
+            periodic_prediction(turned, turned_c).value, abs=1e-12)
 
 
 def test_argmin_tie_uses_the_pair_error_estimates():
